@@ -58,15 +58,7 @@ def _load_operator(path: str) -> operators.LabeledOperator:
 
 
 def _load_circuit(path: str) -> notation.CircuitFragment:
-    text = _read_text(path)
-    try:
-        return notation.parse_circuit(text)
-    except CircuitSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        raise SystemExit(EX_VALIDATION)
-    except WiringError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        raise SystemExit(EX_VALIDATION)
+    return notation.parse_circuit(_read_text(path))
 
 
 def _load_binding(path: str) -> dict[str, operators.LabeledOperator]:
@@ -99,15 +91,7 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def cmd_validate(args) -> int:
-    text = _read_text(args.circuit)
-    try:
-        frag = notation.parse_circuit(text)
-    except CircuitSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return EX_VALIDATION
-    except WiringError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EX_VALIDATION
+    frag = _load_circuit(args.circuit)
     if args.types:
         registry = notation.parse_registry(_read_text(args.types))
         unknown = {lab.sys for lab in notation.iter_labels(frag)} - set(registry)
@@ -276,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--eps", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("validate", help="check circuit text against the wiring rules")
     p.add_argument("circuit")
@@ -316,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tomography", help="reconstruct an operator by probing it")
     p.add_argument("operator", help="hidden operator file (also the reference)")
     p.add_argument("--shots", type=int, default=0, help="0 = exact probabilities")
+    p.add_argument("--seed", type=int, default=0, help="shot-noise seed")
     p.add_argument("--output")
     common(p)
     p.set_defaults(func=cmd_tomography)
@@ -345,6 +329,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # the one place circuit validation failures become exit code 2
     except CircuitSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EX_VALIDATION

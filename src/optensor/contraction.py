@@ -7,6 +7,8 @@ Execution follows a pairwise plan; any valid plan yields the same result.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,16 +50,22 @@ class ContractionPlan:
         return "\n".join(str(s) for s in self.steps)
 
 
-def _check_wiring(ops: Sequence[LabeledOperator]) -> None:
-    seen: dict[int, tuple[int, object]] = {}
+def _wire_ends(ops: Sequence[LabeledOperator]) -> dict[int, list[int]]:
+    """Map each wire id to the indices of the operands carrying it.
+
+    This is the one place wiring is validated: a wire id joins at most two
+    legs, one output and one input, of the same type and dimension.
+    """
+    ends: dict[int, list[int]] = {}
     for i, op in enumerate(ops):
         for leg in op.legs:
-            if leg.id not in seen:
-                seen[leg.id] = (1, leg)
+            holders = ends.setdefault(leg.id, [])
+            if not holders:
+                holders.append(i)
                 continue
-            count, first = seen[leg.id]
-            if count >= 2:
+            if len(holders) >= 2:
                 raise LabelArityError(f"wire id {leg.id} appears more than twice")
+            first = ops[holders[0]].leg(leg.id)
             if first.role == leg.role:
                 raise LabelArityError(f"wire id {leg.id} appears twice as {leg.role}")
             if first.sys != leg.sys or first.dim != leg.dim:
@@ -65,7 +73,23 @@ def _check_wiring(ops: Sequence[LabeledOperator]) -> None:
                     f"wire id {leg.id} joins {first.sys}(dim {first.dim}) "
                     f"to {leg.sys}(dim {leg.dim})"
                 )
-            seen[leg.id] = (2, first)
+            holders.append(i)
+    return ends
+
+
+def _step_result(left: tuple, right: tuple) -> tuple[tuple[WireLabel, ...], tuple, int]:
+    """Wires contracted, surviving legs and total dimension of one step.
+
+    Shared wires are listed in the left operand's leg order; surviving legs
+    are the left operand's followed by the right operand's.
+    """
+    ids_left = {leg.id for leg in left}
+    ids_right = {leg.id for leg in right}
+    over = tuple(leg.wire for leg in left if leg.id in ids_right)
+    legs = tuple(leg for leg in left if leg.id not in ids_right) + tuple(
+        leg for leg in right if leg.id not in ids_left
+    )
+    return over, legs, math.prod(leg.dim for leg in legs)
 
 
 def contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
@@ -114,90 +138,78 @@ def contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     return LabeledOperator(legs, raw.reshape(dim, dim), min(a.tol, b.tol))
 
 
+class _PlanBuilder:
+    """Records the steps of a plan as operand pairs are chosen."""
+
+    def __init__(self, ops: Sequence[LabeledOperator]):
+        self.n_operands = len(ops)
+        self.legs_of: dict[int, tuple] = {i: op.legs for i, op in enumerate(ops)}
+        self.steps: list[PlanStep] = []
+        self.peak = max((op.dim for op in ops), default=1)
+
+    def contract(self, i: int, j: int) -> int:
+        """Append the step joining live operands ``i`` and ``j``; return its index."""
+        over, legs, dim = _step_result(self.legs_of.pop(i), self.legs_of.pop(j))
+        k = self.n_operands + len(self.steps)
+        self.steps.append(PlanStep(i, j, over, dim, k))
+        self.legs_of[k] = legs
+        self.peak = max(self.peak, dim)
+        return k
+
+    def plan(self) -> ContractionPlan:
+        return ContractionPlan(self.n_operands, tuple(self.steps), self.peak)
+
+
 def plan_contraction(ops: Sequence[LabeledOperator]) -> ContractionPlan:
     """Greedy pairwise plan: always contract the sharing pair whose product
-    has the smallest total dimension; ties go to the lowest operand indices.
+    has the smallest total dimension; ties go to the lowest operand indices,
+    i.e. the least ``(result_dim, left, right)`` with ``left < right``.
 
     Disjoint groups are never contracted against each other until the final
     tensor-product steps that assemble the single result.
+
+    Candidate pairs sit in a heap and are discarded lazily once an operand is
+    consumed.  A pair's key depends only on its two operands, and a produced
+    operand's index exceeds every live index, so the first live pair popped
+    is the minimum over all live sharing pairs.  Planning costs O(E log E),
+    where E is the number of wire-adjacent operand pairs pushed.
     """
-    _check_wiring(ops)
-    legs_of: dict[int, tuple] = {i: op.legs for i, op in enumerate(ops)}
-    steps: list[PlanStep] = []
-    next_index = len(ops)
-    peak = max((op.dim for op in ops), default=1)
+    ends = _wire_ends(ops)
+    builder = _PlanBuilder(ops)
+    legs_of = builder.legs_of
 
-    def result_of(i: int, j: int) -> tuple[tuple, int, tuple[WireLabel, ...]]:
-        ids_j = {leg.id for leg in legs_of[j]}
-        ids_i = {leg.id for leg in legs_of[i]}
-        over = tuple(leg.wire for leg in legs_of[i] if leg.id in ids_j)
-        legs = tuple(l for l in legs_of[i] if l.id not in ids_j) + tuple(
-            l for l in legs_of[j] if l.id not in ids_i
-        )
-        dim = int(np.prod([l.dim for l in legs])) if legs else 1
-        return legs, dim, over
+    def candidate(i: int, j: int) -> tuple[int, int, int]:
+        return _step_result(legs_of[i], legs_of[j])[2], i, j
 
-    while True:
-        active = sorted(legs_of)
-        best = None
-        for x, i in enumerate(active):
-            ids_i = {leg.id for leg in legs_of[i]}
-            for j in active[x + 1:]:
-                if not any(leg.id in ids_i for leg in legs_of[j]):
-                    continue
-                _, dim, _ = result_of(i, j)
-                key = (dim, i, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, i, j = best
-        legs, dim, over = result_of(i, j)
-        steps.append(PlanStep(i, j, over, dim, next_index))
-        legs_of[next_index] = legs
-        del legs_of[i], legs_of[j]
-        peak = max(peak, dim)
-        next_index += 1
+    pairs = {tuple(holders) for holders in ends.values() if len(holders) == 2}
+    heap = [candidate(i, j) for i, j in pairs]
+    heapq.heapify(heap)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if i not in legs_of or j not in legs_of:
+            continue
+        k = builder.contract(i, j)
+        neighbours = set()
+        for leg in legs_of[k]:
+            holders = ends[leg.id] = [k if h in (i, j) else h for h in ends[leg.id]]
+            neighbours.update(h for h in holders if h != k)
+        for m in neighbours:
+            heapq.heappush(heap, candidate(m, k))
 
     remaining = sorted(legs_of)
     while len(remaining) > 1:
-        i, j = remaining[0], remaining[1]
-        legs = legs_of[i] + legs_of[j]
-        dim = int(np.prod([l.dim for l in legs])) if legs else 1
-        steps.append(PlanStep(i, j, (), dim, next_index))
-        legs_of[next_index] = legs
-        del legs_of[i], legs_of[j]
-        peak = max(peak, dim)
-        remaining = [next_index] + remaining[2:]
-        next_index += 1
-
-    return ContractionPlan(len(ops), tuple(steps), peak)
+        remaining = [builder.contract(remaining[0], remaining[1])] + remaining[2:]
+    return builder.plan()
 
 
 def plan_left_to_right(ops: Sequence[LabeledOperator]) -> ContractionPlan:
     """Sequential fold plan, used to cross-check plan independence."""
-    _check_wiring(ops)
-    if not ops:
-        return ContractionPlan(0, (), 1)
-    legs_of = {i: op.legs for i, op in enumerate(ops)}
-    steps: list[PlanStep] = []
-    peak = max(op.dim for op in ops)
+    _wire_ends(ops)
+    builder = _PlanBuilder(ops)
     acc = 0
-    next_index = len(ops)
     for j in range(1, len(ops)):
-        ids_j = {leg.id for leg in legs_of[j]}
-        ids_acc = {leg.id for leg in legs_of[acc]}
-        over = tuple(l.wire for l in legs_of[acc] if l.id in ids_j)
-        legs = tuple(l for l in legs_of[acc] if l.id not in ids_j) + tuple(
-            l for l in legs_of[j] if l.id not in ids_acc
-        )
-        dim = int(np.prod([l.dim for l in legs])) if legs else 1
-        steps.append(PlanStep(acc, j, over, dim, next_index))
-        legs_of[next_index] = legs
-        peak = max(peak, dim)
-        acc = next_index
-        next_index += 1
-    return ContractionPlan(len(ops), tuple(steps), peak)
+        acc = builder.contract(acc, j)
+    return builder.plan()
 
 
 def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> LabeledOperator:

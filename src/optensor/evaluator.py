@@ -28,8 +28,14 @@ from .physicality import input_transpose, is_physical
 
 
 def _warn_nonphysical(frag: CircuitFragment, bound: list[LabeledOperator], eps: float) -> None:
+    # Every operation with one name is bound to the same binding entry, and
+    # relabeling keeps its leg order and matrix, so the name's first
+    # operator stands for all of them.
+    reports = {}
     for decl, op in zip(frag.ops, bound):
-        report = is_physical(op, eps)
+        report = reports.get(decl.name)
+        if report is None:
+            report = reports[decl.name] = is_physical(op, eps)
         if not report.physical:
             warnings.warn(
                 f"operator bound to {decl.name!r} is not physical "
@@ -82,7 +88,6 @@ def probability_foliated(
     fol = foliate(circuit, policy)
 
     live: list[int] = []  # wire ids carried by the state, in axis order
-    dims: list[int] = []
     state = np.array(1.0 + 0.0j)  # axes: kets of live wires, then bras
     for layer in fol.layers:
         for op_index in layer:
@@ -114,7 +119,6 @@ def probability_foliated(
             )
             state = np.einsum(state, state_subs, choi.tensor(), choi_subs, out_subs)
             live = [live[i] for i in keep] + [w.id for w in decl.outputs]
-            dims = [dims[i] for i in keep] + [l.dim for l in ordered.output_legs]
     if live:
         raise AssertionError("open wires remained after the final layer")
     value = complex(state)

@@ -252,23 +252,27 @@ def _check_acyclic(ops: tuple[OperationDecl, ...], wires: list[InternalWire]) ->
             raise ClosedLoop(f"{ops[w.producer].name} -> {ops[w.producer].name}")
         succ[w.producer].add(w.consumer)
     state = [0] * len(ops)  # 0 unseen, 1 on stack, 2 done
-    stack: list[int] = []
-
-    def visit(node: int) -> None:
-        state[node] = 1
-        stack.append(node)
-        for nxt in sorted(succ[node]):
-            if state[nxt] == 1:
-                cycle = stack[stack.index(nxt):] + [nxt]
-                raise ClosedLoop(" -> ".join(ops[i].name for i in cycle))
-            if state[nxt] == 0:
-                visit(nxt)
-        stack.pop()
-        state[node] = 2
-
+    # Depth-first search with an explicit stack, so that long chains do not
+    # hit the recursion limit; successors are visited in sorted order.
     for start in range(len(ops)):
-        if state[start] == 0:
-            visit(start)
+        if state[start] != 0:
+            continue
+        state[start] = 1
+        stack = [start]
+        pending = [iter(sorted(succ[start]))]
+        while stack:
+            for nxt in pending[-1]:
+                if state[nxt] == 1:
+                    cycle = stack[stack.index(nxt):] + [nxt]
+                    raise ClosedLoop(" -> ".join(ops[i].name for i in cycle))
+                if state[nxt] == 0:
+                    state[nxt] = 1
+                    stack.append(nxt)
+                    pending.append(iter(sorted(succ[nxt])))
+                    break
+            else:
+                state[stack.pop()] = 2
+                pending.pop()
 
 
 # ---------------------------------------------------------------------------

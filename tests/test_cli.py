@@ -49,6 +49,28 @@ class TestValidate:
         assert code == 2
         assert "ClosedLoop" in err
 
+    @pytest.mark.parametrize("command", ["validate", "foliate", "eval"])
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [("A_{a1}^{a2} B_{a2}^{a1}", "ClosedLoop: "), ("A^{a1", "syntax error: ")],
+    )
+    def test_invalid_circuit_exit_2_for_every_command(
+        self, workspace, capsys, command, text, prefix
+    ):
+        path = workspace / "bad.circ"
+        path.write_text(text)
+        with pytest.raises((ot.WiringError, ot.CircuitSyntaxError)) as caught:
+            ot.parse_circuit(text)
+        extra = [str(workspace / "binding.txt")] if command == "eval" else []
+        code, out, err = run(capsys, command, str(path), *extra)
+        assert (code, out, err) == (2, "", f"{prefix}{caught.value}\n")
+
+    def test_seed_only_on_tomography(self, tmp_path, capsys):
+        path = tmp_path / "pair.circ"
+        path.write_text("P^{a1} R_{a1}")
+        code, _, err = run(capsys, "validate", str(path), "--seed", "3")
+        assert code == 64 and "--seed" in err
+
     def test_missing_file_exit_66(self, capsys):
         code, _, err = run(capsys, "validate", "no-such-file.circ")
         assert code == 66

@@ -5,11 +5,16 @@ Kraus evolution of the density matrix computed entirely outside the
 contraction machinery.
 """
 
+from typing import Sequence
+
 import numpy as np
 import pytest
+from conftest import random_circuit
 
 import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
+from optensor.binding import resolve_binding
+from optensor.contraction import ContractionPlan, PlanStep
 from optensor.notation import INPUT, OUTPUT
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -144,9 +149,6 @@ class TestPlanner:
         assert all("-> dim" in line for line in lines)
 
     def test_greedy_matches_left_to_right(self, rng):
-        from conftest import random_circuit
-        from optensor.binding import resolve_binding
-
         for _ in range(15):
             frag, binding = random_circuit(rng, max_ops=7)
             ops = resolve_binding(frag, binding)
@@ -165,3 +167,180 @@ def test_result_label_order_is_first_appearance(rng):
     )
     out = ot.circuit_trace([a, b])
     assert out.ids == (5, 3)
+
+
+# ---------------------------------------------------------------------------
+# Plan identity: the heap planner against the planners it replaced.  Both
+# references are kept verbatim apart from their names and docstrings; their
+# wiring check is left to the planners under test, which must raise first.
+
+
+def _reference_greedy(ops: Sequence[LabeledOperator]) -> ContractionPlan:
+    """The greedy planner as a full rescan of live pairs each round: O(n^3)."""
+    legs_of: dict[int, tuple] = {i: op.legs for i, op in enumerate(ops)}
+    steps: list[PlanStep] = []
+    next_index = len(ops)
+    peak = max((op.dim for op in ops), default=1)
+
+    def result_of(i: int, j: int) -> tuple[tuple, int, tuple[WireLabel, ...]]:
+        ids_j = {leg.id for leg in legs_of[j]}
+        ids_i = {leg.id for leg in legs_of[i]}
+        over = tuple(leg.wire for leg in legs_of[i] if leg.id in ids_j)
+        legs = tuple(l for l in legs_of[i] if l.id not in ids_j) + tuple(
+            l for l in legs_of[j] if l.id not in ids_i
+        )
+        dim = int(np.prod([l.dim for l in legs])) if legs else 1
+        return legs, dim, over
+
+    while True:
+        active = sorted(legs_of)
+        best = None
+        for x, i in enumerate(active):
+            ids_i = {leg.id for leg in legs_of[i]}
+            for j in active[x + 1:]:
+                if not any(leg.id in ids_i for leg in legs_of[j]):
+                    continue
+                _, dim, _ = result_of(i, j)
+                key = (dim, i, j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        _, i, j = best
+        legs, dim, over = result_of(i, j)
+        steps.append(PlanStep(i, j, over, dim, next_index))
+        legs_of[next_index] = legs
+        del legs_of[i], legs_of[j]
+        peak = max(peak, dim)
+        next_index += 1
+
+    remaining = sorted(legs_of)
+    while len(remaining) > 1:
+        i, j = remaining[0], remaining[1]
+        legs = legs_of[i] + legs_of[j]
+        dim = int(np.prod([l.dim for l in legs])) if legs else 1
+        steps.append(PlanStep(i, j, (), dim, next_index))
+        legs_of[next_index] = legs
+        del legs_of[i], legs_of[j]
+        peak = max(peak, dim)
+        remaining = [next_index] + remaining[2:]
+        next_index += 1
+
+    return ContractionPlan(len(ops), tuple(steps), peak)
+
+
+def _reference_left_to_right(ops: Sequence[LabeledOperator]) -> ContractionPlan:
+    """The sequential fold plan as first written."""
+    if not ops:
+        return ContractionPlan(0, (), 1)
+    legs_of = {i: op.legs for i, op in enumerate(ops)}
+    steps: list[PlanStep] = []
+    peak = max(op.dim for op in ops)
+    acc = 0
+    next_index = len(ops)
+    for j in range(1, len(ops)):
+        ids_j = {leg.id for leg in legs_of[j]}
+        ids_acc = {leg.id for leg in legs_of[acc]}
+        over = tuple(l.wire for l in legs_of[acc] if l.id in ids_j)
+        legs = tuple(l for l in legs_of[acc] if l.id not in ids_j) + tuple(
+            l for l in legs_of[j] if l.id not in ids_acc
+        )
+        dim = int(np.prod([l.dim for l in legs])) if legs else 1
+        steps.append(PlanStep(acc, j, over, dim, next_index))
+        legs_of[next_index] = legs
+        peak = max(peak, dim)
+        acc = next_index
+        next_index += 1
+    return ContractionPlan(len(ops), tuple(steps), peak)
+
+
+def chain(rng, n_ops, dim=2):
+    """A qubit (or qudit) chain: preparation, n_ops - 2 channels, result."""
+    ops = [ot.random_preparation([Leg("a", 1, OUTPUT, dim)], rng)]
+    for k in range(1, n_ops - 1):
+        ops.append(
+            ot.random_physical_transformation(
+                [Leg("a", k, INPUT, dim)], [Leg("a", k + 1, OUTPUT, dim)], rng
+            )
+        )
+    ops.append(ot.random_result([Leg("a", n_ops - 1, INPUT, dim)], rng))
+    return ops
+
+
+def brickwork(rng, width, depth):
+    """Preparations, ``depth`` layers of alternating two-wire gates, results."""
+    wires = list(range(1, width + 1))
+    next_id = width + 1
+    ops = [ot.random_preparation([Leg("a", w, OUTPUT, 2)], rng) for w in wires]
+    for layer in range(depth):
+        for q in range(layer % 2, width - 1, 2):
+            ins = [Leg("a", wires[q], INPUT, 2), Leg("a", wires[q + 1], INPUT, 2)]
+            wires[q], wires[q + 1] = next_id, next_id + 1
+            next_id += 2
+            outs = [Leg("a", wires[q], OUTPUT, 2), Leg("a", wires[q + 1], OUTPUT, 2)]
+            ops.append(ot.random_physical_transformation(ins, outs, rng))
+    ops += [ot.random_result([Leg("a", w, INPUT, 2)], rng) for w in wires]
+    return ops
+
+
+def assert_same_plans(ops):
+    for planner, reference in (
+        (ot.plan_contraction, _reference_greedy),
+        (ot.plan_left_to_right, _reference_left_to_right),
+    ):
+        plan, expected = planner(ops), reference(ops)
+        assert plan.steps == expected.steps
+        assert plan.dump() == expected.dump()
+        assert plan.peak_dim == expected.peak_dim
+        assert plan == expected
+
+
+class TestPlanIdentity:
+    def test_random_circuits(self, rng):
+        for _ in range(50):
+            frag, binding = random_circuit(rng, max_ops=int(rng.integers(4, 21)))
+            assert_same_plans(resolve_binding(frag, binding))
+
+    def test_hundred_op_qubit_chain(self, rng):
+        assert_same_plans(chain(rng, 100))
+
+    def test_width_three_brickwork(self, rng):
+        ops = brickwork(rng, width=3, depth=8)
+        assert_same_plans(ops)
+        assert_same_plans(ops[::-1])
+
+    def test_sixty_disjoint_pairs(self):
+        ops = [op for k in range(1, 61) for op in (prep(k, P0), result(k, P0))]
+        assert_same_plans(ops)
+        assert_same_plans(ops[::2] + ops[1::2])
+
+    def test_empty_and_single_operand(self, rng):
+        assert_same_plans([])
+        assert_same_plans([ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng)])
+
+    @pytest.mark.parametrize(
+        "ops, error, message",
+        [
+            (
+                [prep(1, P0), result(1, P0), result(1, P0)],
+                ot.LabelArityError,
+                "wire id 1 appears more than twice",
+            ),
+            ([prep(1, P0), prep(1, P0)], ot.LabelArityError, "wire id 1 appears twice as output"),
+            (
+                [prep(1, np.eye(2) / 2), result(1, np.eye(3) / 3)],
+                ot.DimMismatchError,
+                "wire id 1 joins a(dim 2) to a(dim 3)",
+            ),
+            (
+                [prep(1, P0), result(1, P0, sys="b")],
+                ot.DimMismatchError,
+                "wire id 1 joins a(dim 2) to b(dim 2)",
+            ),
+        ],
+    )
+    def test_wiring_errors_unchanged(self, ops, error, message):
+        for planner in (ot.plan_contraction, ot.plan_left_to_right):
+            with pytest.raises(error) as caught:
+                planner(ops)
+            assert str(caught.value) == message

@@ -77,6 +77,38 @@ class TestProbability:
             value = ot.probability(frag, binding)
         assert value == pytest.approx(1.0)
 
+    def test_reused_nonphysical_gate_checked_once_warned_per_operation(self, monkeypatch):
+        import warnings
+
+        from optensor import evaluator
+
+        frag = ot.parse_circuit("P^{a1} W_{a1}^{a2} W_{a2}^{a3} W_{a3}^{a4} R_{a4}")
+        wire = ot.identity_transformation(WireLabel("a", 1), WireLabel("a", 2), 2)
+        binding = {
+            "P": LabeledOperator((Leg("a", 1, OUTPUT, 2),), P0),
+            "W": LabeledOperator(wire.legs, 1.5 * wire.matrix),  # output trace 1.5 I
+            "R": ot.identity_result(WireLabel("a", 1), 2),
+        }
+        checked = []
+
+        def counting_is_physical(op, eps):
+            checked.append(op)
+            return ot.is_physical(op, eps)
+
+        monkeypatch.setattr(evaluator, "is_physical", counting_is_physical)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = ot.probability(frag, binding)
+        assert len(checked) == 3
+        messages = [str(w.message) for w in caught if w.category is ot.PhysicalityWarning]
+        report = ot.is_physical(binding["W"])
+        assert messages == [
+            f"operator bound to 'W' is not physical "
+            f"(min eig {report.input_transpose_min_eig:.3e}, "
+            f"trace excess {report.output_trace_excess:.3e})"
+        ] * 3
+        assert value == pytest.approx(1.5**3)
+
     def test_medium_circuit_matches_foliated(self, rng):
         frag, binding = medium_binding(rng, {"a": 2, "b": 2, "c": 2, "d": 2})
         direct = ot.probability(frag, binding, check_physical=False)
@@ -341,3 +373,26 @@ class TestCompletenessSum:
             check_physical=False,
         )
         assert abs(total - deterministic) <= 1e-9
+
+
+def test_two_thousand_op_chain_evaluates_by_both_routes(rng):
+    """Parsing, planning and foliation stay within the default recursion limit."""
+    n_gates = 1998
+    text = " ".join(
+        ["P^{a1}"]
+        + [f"G_{{a{k}}}^{{a{k + 1}}}" for k in range(1, n_gates + 1)]
+        + [f"R_{{a{n_gates + 1}}}"]
+    )
+    frag = ot.parse_circuit(text)
+    assert len(frag.ops) == 2000
+    binding = {
+        "P": ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng),
+        "G": ot.random_physical_transformation(
+            [Leg("a", 1, INPUT, 2)], [Leg("a", 2, OUTPUT, 2)], rng, trace_preserving=True
+        ),
+        "R": ot.identity_result(WireLabel("a", 1), 2),
+    }
+    direct = ot.probability(frag, binding)
+    layered = ot.probability_foliated(frag, binding)
+    assert abs(direct - 1.0) <= 1e-10
+    assert abs(direct - layered) <= 1e-10

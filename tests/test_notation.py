@@ -51,6 +51,15 @@ def test_closed_loop_two_cycle():
     assert "A" in str(err.value) and "B" in str(err.value)
 
 
+def test_closed_loop_names_first_cycle_in_sorted_visit_order():
+    # A's successors are visited in declaration order: the B branch is
+    # finished before the cycle through C is found.
+    with pytest.raises(ClosedLoop, match="^A -> C -> E -> A$"):
+        parse_circuit("A_{a9}^{a1 a2} B_{a1}^{a3} C_{a2}^{a4} D_{a3}^{a5} E_{a4}^{a9 a6} F_{a5 a6}")
+    with pytest.raises(ClosedLoop, match="^A -> B -> D -> A$"):
+        parse_circuit("A_{a8 a9}^{a1 a2} B_{a1}^{a3} C_{a2}^{a9} D_{a3}^{a8}")
+
+
 def test_self_loop():
     with pytest.raises(ClosedLoop):
         parse_circuit("A_{a1}^{a1}")
