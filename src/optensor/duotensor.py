@@ -10,6 +10,7 @@ converts duotensor indices between "black" (probability) and "white"
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, replace
@@ -18,9 +19,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .contraction import circuit_trace
 from .errors import (
     ConditioningWarning,
+    DimMismatchError,
     ShapeMismatchError,
     SingularBasisError,
     SingularMetricError,
@@ -61,23 +62,33 @@ def _span_rank(ops: Sequence[LabeledOperator]) -> int:
     return int(np.linalg.matrix_rank(np.concatenate([stack.real, stack.imag], axis=1)))
 
 
+def _one_leg_stack(ops: Sequence[LabeledOperator], role: str) -> np.ndarray:
+    """Matrices of fiducials that each have a single leg of ``role``, shape (K, d, d)."""
+    for op in ops:
+        if len(op.legs) != 1 or op.legs[0].role != role:
+            raise SingularBasisError(f"fiducial {op!r} needs exactly one {role} leg")
+    return np.stack([op.matrix for op in ops])
+
+
 def compute_hopping_metric(
     preps: Sequence[LabeledOperator], results: Sequence[LabeledOperator]
 ) -> np.ndarray:
-    """G[i][j] = value of the circuit (prep i) -> (result j)."""
-    k = len(preps)
-    metric = np.empty((k, len(results)))
-    for i, prep in enumerate(preps):
-        for j, result in enumerate(results):
-            aligned = result.relabeled({result.ids[0]: prep.legs[0].wire})
-            value = circuit_trace([prep, aligned])
-            if abs(value.matrix[0, 0].imag) > 1e-12:
-                raise SingularMetricError(
-                    f"metric entry ({i},{j}) has imaginary part "
-                    f"{value.matrix[0, 0].imag:.3e}"
-                )
-            metric[i, j] = value.scalar
-    return metric
+    """G[i][j] = value of the circuit (prep i) -> (result j) = Tr(prep_i . result_j)."""
+    prep_stack = _one_leg_stack(preps, OUTPUT)
+    result_stack = _one_leg_stack(results, INPUT)
+    if prep_stack.shape[1:] != result_stack.shape[1:]:
+        raise DimMismatchError(
+            f"preparations have dim {prep_stack.shape[-1]}, "
+            f"results have dim {result_stack.shape[-1]}"
+        )
+    metric = np.einsum("iab,jba->ij", prep_stack, result_stack)
+    complex_entries = np.argwhere(np.abs(metric.imag) > 1e-12)
+    if complex_entries.size:
+        i, j = complex_entries[0]  # the first in row-major order
+        raise SingularMetricError(
+            f"metric entry ({i},{j}) has imaginary part {metric[i, j].imag:.3e}"
+        )
+    return metric.real.copy()
 
 
 def hopping_metric(fset: FiducialSet) -> np.ndarray:
@@ -119,12 +130,14 @@ def make_fiducials(
     return FiducialSet(sys_type, tuple(preps), tuple(results), metric, metric_inv)
 
 
+@functools.lru_cache
 def default_fiducials(sys_type: SystemType) -> FiducialSet:
     """Rank-one projector fiducials: the basis states plus, for each pair
     j < k, the real and imaginary superposition projectors.
 
     For a qubit this is |0>, |1>, |+>, |+i>; every element is manifestly a
     realizable preparation and (read with an input leg) a valid result.
+    Cached per system type: a fiducial set and its arrays are read-only.
     """
     n = sys_type.dim
     vectors: list[np.ndarray] = [np.eye(n)[j] for j in range(n)]
@@ -182,16 +195,41 @@ class Duotensor:
         return tuple(ix.color for ix in self.indices)
 
 
-def _fiducial_stack(fsets: Mapping[str, FiducialSet], leg: Leg) -> np.ndarray:
-    """Matrices of the fiducials attached to one leg: results for inputs,
-    preparations for outputs.  Shape (K, d, d)."""
+def _fiducial_stack(
+    fsets: Mapping[str, FiducialSet], leg: Leg, probing: bool = False
+) -> np.ndarray:
+    """Matrices of the fiducials attached to one leg, shape (K, d, d).
+
+    An expansion (``decompose``, ``reconstruct``) takes results for inputs
+    and preparations for outputs.  ``probing`` takes the fiducials that
+    close the leg in a circuit: preparations for inputs, results for outputs.
+    """
     fset = fsets[leg.sys]
-    if fset.sys_type.dim != leg.dim:
+    family = fset.results if (leg.role == INPUT) != probing else fset.preps
+    stack = np.stack([op.matrix for op in family])
+    dim = stack.shape[-1]
+    if dim != leg.dim:
+        if probing:  # the message circuit_trace gives for the probing circuit
+            raise DimMismatchError(
+                f"wire id {leg.id} joins {leg.sys}(dim {leg.dim}) to {leg.sys}(dim {dim})"
+            )
         raise ShapeMismatchError(
-            f"fiducials for {leg.sys!r} have dim {fset.sys_type.dim}, leg has {leg.dim}"
+            f"fiducials for {leg.sys!r} have dim {dim}, leg has {leg.dim}"
         )
-    family = fset.results if leg.role == INPUT else fset.preps
-    return np.stack([op.matrix for op in family])
+    return stack
+
+
+def _fiducial_overlaps(op: LabeledOperator, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Tr((F_j1 x ... x F_jk) . op) for every choice of one fiducial per leg.
+
+    One einsum over the operator tensor and one stack per leg, in leg order.
+    """
+    k = len(stacks)
+    operands: list = [op.tensor(), list(range(2 * k))]
+    for m, stack in enumerate(stacks):
+        # Tr(F_j . op) on leg m: F's row meets op's bra, F's column the ket
+        operands.extend([stack, [2 * k + m, k + m, m]])
+    return np.einsum(*operands, list(range(2 * k, 3 * k)), optimize=True).real
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -214,16 +252,8 @@ def decompose(op: LabeledOperator, fsets: Mapping[str, FiducialSet]) -> Duotenso
     The expansion is exact: weights solve the Gram system of Hilbert-Schmidt
     overlaps, which factorizes leg by leg.
     """
-    k = len(op.legs)
     stacks = [_fiducial_stack(fsets, leg) for leg in op.legs]
-    operands: list = [op.tensor(), list(range(2 * k))]
-    out = []
-    for m, stack in enumerate(stacks):
-        # Tr(F_j . op) on leg m: F's row meets op's bra, F's column the ket
-        operands.extend([stack, [2 * k + m, k + m, m]])
-        out.append(2 * k + m)
-    rhs = np.einsum(*operands, out).real
-    weights = rhs
+    weights = _fiducial_overlaps(op, stacks)
     for m, stack in enumerate(stacks):
         gram = np.einsum("jab,lba->jl", stack, stack).real
         moved = np.moveaxis(weights, m, 0)
@@ -301,12 +331,11 @@ def wire_decomposition_check(
     """
     fset = fset if fset is not None else default_fiducials(sys_type)
     n = sys_type.dim
-    built = np.zeros((n * n, n * n), dtype=complex)
-    for j in range(fset.k):
-        for k in range(fset.k):
-            built += fset.metric_inv[j, k] * np.kron(
-                fset.results[j].matrix, fset.preps[k].matrix
-            )
+    results = np.stack([op.matrix for op in fset.results])
+    preps = np.stack([op.matrix for op in fset.preps])
+    # kron(result_j, prep_k)[(a, c), (b, d)] = result_j[a, b] prep_k[c, d]
+    built = np.einsum("jk,jab,kcd->acbd", fset.metric_inv, results, preps)
+    built = built.reshape(n * n, n * n)
     expected = identity_transformation(
         WireLabel(sys_type.name, 1), WireLabel(sys_type.name, 2), n
     ).matrix

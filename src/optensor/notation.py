@@ -31,7 +31,6 @@ CIRCUIT = "circuit"
 PREPARATION = "preparation"
 RESULT = "result"
 TRANSFORMATION_FRAGMENT = "transformation-fragment"
-GENERAL_FRAGMENT = "general-fragment"
 
 
 @dataclass(frozen=True)

@@ -224,10 +224,6 @@ def max_eigenvalue(op: LabeledOperator) -> float:
     return float(np.linalg.eigvalsh(op.matrix)[-1])
 
 
-def is_psd(op: LabeledOperator, eps: float = 1e-9) -> bool:
-    return min_eigenvalue(op) >= -eps
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 

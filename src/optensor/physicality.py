@@ -136,10 +136,10 @@ def sandwich_check(
     for g in dims:
         alpha = _haar_batch(rng, samples, nin, g)
         gamma = _haar_batch(rng, samples, nout, g)
-        # value of  prep . op . result  for every sample at once
-        vals = np.einsum(
-            "sig,sIG,IyiY,sYG,syg->s", alpha, alpha.conj(), tensor, gamma, gamma.conj()
-        )
+        # value of  prep . op . result  for every sample at once; the
+        # ancilla is traced out first, pairing each sample's prep and result
+        pair = np.einsum("sig,syg->siy", alpha, gamma.conj())
+        vals = np.einsum("siy,IyiY,sIY->s", pair, tensor, pair.conj(), optimize=True)
         trace_vals = np.einsum("sig,sIg,Ii->s", alpha, alpha.conj(), trace_out)
         min_sandwich = min(min_sandwich, float(vals.real.min()))
         max_trace = max(max_trace, float(trace_vals.real.max()))

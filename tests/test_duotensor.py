@@ -1,11 +1,13 @@
 """Fiducial sets, the hopping metric, decomposition, and dot conversion."""
 
+import re
+
 import numpy as np
 import pytest
 
 import optensor as ot
 from optensor import Leg, SystemType, WireLabel
-from optensor.duotensor import BLACK, WHITE, _solve_gram
+from optensor.duotensor import BLACK, WHITE, _solve_gram, compute_hopping_metric
 from optensor.notation import INPUT, OUTPUT
 
 QUBIT = SystemType("a", 2)
@@ -66,6 +68,36 @@ class TestDefaultFiducials:
     def test_hopping_metric_recompute(self, qubit_fiducials):
         again = ot.hopping_metric(qubit_fiducials)
         assert np.max(np.abs(again - qubit_fiducials.metric)) < 1e-12
+
+    def test_cached_per_system_type(self):
+        assert ot.default_fiducials(SystemType("a", 2)) is ot.default_fiducials(QUBIT)
+        assert ot.default_fiducials(SystemType("b", 2)) is not ot.default_fiducials(QUBIT)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_metric_matches_pairwise_circuits(self, d):
+        fset = ot.default_fiducials(SystemType("a", d))
+        expected = _pairwise_metric(fset.preps, fset.results)
+        assert np.max(np.abs(ot.hopping_metric(fset) - expected)) <= 1e-14
+
+    def test_complex_metric_entry_named(self, qubit_fiducials):
+        results = list(qubit_fiducials.results)
+        for j in (1, 3):  # Tr(P_i R_j) gains 1e-6 i for every i
+            tampered = ot.LabeledOperator(results[j].legs, results[j].matrix)
+            object.__setattr__(tampered, "matrix", results[j].matrix + 1e-6j * np.eye(2))
+            results[j] = tampered
+        message = "metric entry (0,1) has imaginary part 1.000e-06"
+        with pytest.raises(ot.SingularMetricError, match=re.escape(message)):
+            compute_hopping_metric(qubit_fiducials.preps, results)
+
+
+def _pairwise_metric(preps, results):
+    """The hopping metric as one two-operator circuit per entry."""
+    metric = np.empty((len(preps), len(results)))
+    for i, prep in enumerate(preps):
+        for j, result in enumerate(results):
+            aligned = result.relabeled({result.ids[0]: prep.legs[0].wire})
+            metric[i, j] = ot.circuit_trace([prep, aligned]).scalar
+    return metric
 
 
 class TestDecompose:
@@ -186,6 +218,15 @@ class TestValidation:
         preps = (bloated,) + qubit_fiducials.preps[1:]
         with pytest.raises(ot.SingularBasisError):
             ot.make_fiducials(QUBIT, preps, qubit_fiducials.results)
+
+    def test_fiducial_leg_roles_checked(self, qubit_fiducials):
+        results = qubit_fiducials.results
+        with pytest.raises(ot.SingularBasisError, match="exactly one output leg"):
+            ot.make_fiducials(QUBIT, results, results)
+
+    def test_fiducial_dims_checked(self, qubit_fiducials, qutrit_fiducials):
+        with pytest.raises(ot.DimMismatchError):
+            compute_hopping_metric(qubit_fiducials.preps, qutrit_fiducials.results)
 
     def test_ill_conditioned_gram_warns(self):
         gram = np.diag([1.0, 1e-10])

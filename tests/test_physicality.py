@@ -118,6 +118,52 @@ class TestSandwichCheck:
         trace_by_einsum = np.einsum("ig,Ig,Ii->", alpha, alpha.conj(), tout).real
         assert abs(trace_by_circuit - trace_by_einsum) < 1e-13
 
+    @pytest.mark.parametrize("perturbation", [0.0, 0.05, 0.3])
+    def test_matches_five_operand_reference(self, rng, perturbation):
+        ancillas = (1, 2, 4, 9)
+        signatures = [
+            ([Leg("a", 1, INPUT, 2)], [Leg("b", 2, OUTPUT, 3)]),
+            ([Leg("a", 1, INPUT, 2), Leg("a", 2, INPUT, 2)], [Leg("a", 3, OUTPUT, 2)]),
+            ([], [Leg("b", 1, OUTPUT, 3)]),
+        ]
+        for ins, outs in signatures:
+            op = ot.random_physical_transformation(ins, outs, rng) if ins else (
+                ot.random_preparation(outs, rng)
+            )
+            raw = rng.standard_normal((op.dim, op.dim)) + 1j * rng.standard_normal(
+                (op.dim, op.dim)
+            )
+            op = LabeledOperator(op.legs, op.matrix + perturbation * (raw + raw.conj().T))
+            seed = int(rng.integers(1 << 30))
+            got = ot.sandwich_check(op, ancillas, samples=200, seed=seed)
+            want = _reference_sandwich_check(op, ancillas, samples=200, seed=seed)
+            assert abs(got.min_sandwich - want.min_sandwich) <= 1e-12
+            assert abs(got.max_trace_scalar - want.max_trace_scalar) <= 1e-12
+            assert got.passed == want.passed
+            assert got.ancilla_dims == want.ancilla_dims
+
+
+def _reference_sandwich_check(op, ancilla_dims, samples, seed, eps=1e-9):
+    """sandwich_check as one five-operand einsum per ancilla dim, same draws."""
+    from optensor.physicality import _haar_batch, _inout_tensor
+
+    tensor, nin, nout = _inout_tensor(op)
+    dims = tuple(dict.fromkeys(max(1, int(g)) for g in ancilla_dims))
+    rng = np.random.default_rng(seed)
+    trace_out = np.einsum(tensor, [0, 1, 2, 1], [0, 2])
+    min_sandwich, max_trace = np.inf, -np.inf
+    for g in dims:
+        alpha = _haar_batch(rng, samples, nin, g)
+        gamma = _haar_batch(rng, samples, nout, g)
+        vals = np.einsum(
+            "sig,sIG,IyiY,sYG,syg->s", alpha, alpha.conj(), tensor, gamma, gamma.conj()
+        )
+        trace_vals = np.einsum("sig,sIg,Ii->s", alpha, alpha.conj(), trace_out)
+        min_sandwich = min(min_sandwich, float(vals.real.min()))
+        max_trace = max(max_trace, float(trace_vals.real.max()))
+    passed = min_sandwich >= -eps and max_trace <= 1.0 + eps
+    return ot.SandwichReport(passed, min_sandwich, max_trace, samples, dims)
+
 
 class TestWitness:
     def test_transposed_entangled_prep_witness(self):

@@ -1,10 +1,14 @@
 """Process tomography: exact linear inversion and shot-noise behaviour."""
 
+import re
+
 import numpy as np
 import pytest
 
 import optensor as ot
 from optensor import Leg, SystemType, WireLabel
+from optensor.cli import main
+from optensor.contraction import circuit_trace
 from optensor.notation import INPUT, OUTPUT
 
 
@@ -134,3 +138,119 @@ class TestSampledReconstruction:
         eps = 3.0 * shot_noise_amplification(fsets, hidden.legs, shots)
         report = ot.is_physical(recovered, eps=eps)
         assert report.physical, (report, eps)
+
+
+# ---------------------------------------------------------------------------
+# Per-setting reference: one fiducial circuit built and contracted per setting
+
+
+def _fiducial_circuit_value(hidden, setting, fsets):
+    ops = [hidden]
+    for leg, index in zip(hidden.legs, setting):
+        fset = fsets[leg.sys]
+        if leg.role == INPUT:
+            ops.append(fset.prep_op(index, leg.wire))
+        else:
+            ops.append(fset.result_op(index, leg.wire))
+    return circuit_trace(ops).scalar
+
+
+def reference_probe(hidden, fsets):
+    shape = tuple(fsets[leg.sys].k for leg in hidden.legs)
+    data = np.empty(shape)
+    for setting in np.ndindex(*shape):
+        data[setting] = _fiducial_circuit_value(hidden, setting, fsets)
+    return data
+
+
+DIMS = {"a": 2, "b": 3}
+
+# (input types, output types): qubit, qutrit and mixed legs, prep-only and
+# result-only operators
+SIGNATURES = [
+    (("a",), ("a",)),
+    (("b",), ("b",)),
+    (("a", "b"), ("b",)),
+    (("a", "a"), ("a", "a")),
+    ((), ("a", "b")),
+    (("b",), ()),
+]
+
+
+def signature_op(ins, outs, seed):
+    in_legs = [Leg(t, i + 1, INPUT, DIMS[t]) for i, t in enumerate(ins)]
+    out_legs = [Leg(t, len(ins) + i + 1, OUTPUT, DIMS[t]) for i, t in enumerate(outs)]
+    if not in_legs:
+        return ot.random_preparation(out_legs, seed)
+    if not out_legs:
+        return ot.random_result(in_legs, seed)
+    return ot.random_physical_transformation(in_legs, out_legs, seed)
+
+
+def rotated_fiducials(fset, seed):
+    """The set's projectors conjugated by one random unitary."""
+    u = ot.random_unitary(fset.sys_type.dim, seed)
+
+    def rotate(ops):
+        return [ot.LabeledOperator(op.legs, u @ op.matrix @ u.conj().T) for op in ops]
+
+    return ot.make_fiducials(fset.sys_type, rotate(fset.preps), rotate(fset.results))
+
+
+class TestProbeOracle:
+    @pytest.mark.parametrize("ins, outs", SIGNATURES)
+    def test_matches_per_setting_circuits(self, ins, outs):
+        op = signature_op(ins, outs, seed=len(ins) * 10 + len(outs))
+        fsets = ot.default_fiducials_for(op)
+        black = ot.probe(ot.ExactBlackBox(op), fsets)
+        assert np.max(np.abs(black.data - reference_probe(op, fsets))) <= 1e-12
+
+    def test_one_box_two_fiducial_sets(self):
+        op = signature_op(("a",), ("a",), seed=11)
+        default = {"a": ot.default_fiducials(SystemType("a", 2))}
+        rotated = {"a": rotated_fiducials(default["a"], seed=12)}
+        box = ot.ExactBlackBox(op)
+        first = ot.probe(box, default).data
+        second = ot.probe(box, rotated).data
+        again = ot.probe(box, default).data
+        assert np.max(np.abs(first - reference_probe(op, default))) <= 1e-12
+        assert np.max(np.abs(second - reference_probe(op, rotated))) <= 1e-12
+        assert np.max(np.abs(first - second)) > 1e-3
+        assert np.array_equal(again, first)
+
+    @pytest.mark.parametrize(
+        "legs, fsets, message",
+        [
+            (
+                (Leg("a", 1, INPUT, 2), Leg("a", 2, OUTPUT, 2)),
+                {"a": SystemType("a", 3)},
+                "wire id 1 joins a(dim 2) to a(dim 3)",
+            ),
+            (
+                (Leg("a", 1, INPUT, 2), Leg("b", 2, OUTPUT, 3)),
+                {"a": SystemType("a", 2), "b": SystemType("b", 2)},
+                "wire id 2 joins b(dim 3) to b(dim 2)",
+            ),
+        ],
+    )
+    def test_dim_mismatch(self, legs, fsets, message):
+        op = ot.random_physical_transformation(legs[:1], legs[1:], seed=1)
+        fsets = {name: ot.default_fiducials(t) for name, t in fsets.items()}
+        with pytest.raises(ot.DimMismatchError, match=re.escape(message)):
+            reference_probe(op, fsets)
+        for box in (ot.ExactBlackBox(op), ot.SampledBlackBox(op, shots=100)):
+            with pytest.raises(ot.DimMismatchError, match=re.escape(message)):
+                ot.probe(box, fsets)
+
+
+def test_cli_sampled_stdout_pinned(tmp_path, capsys):
+    """Seeded CLI tomography prints exactly what the per-setting probe printed."""
+    g = 0.3
+    kraus = [np.array([[1, 0], [0, np.sqrt(1 - g)]]), np.array([[0, np.sqrt(g)], [0, 0]])]
+    chan = ot.operator_from_kraus(kraus, [Leg("a", 1, INPUT, 2)], [Leg("a", 2, OUTPUT, 2)])
+    ot.save(chan, tmp_path / "damping.json")
+    argv = ["tomography", str(tmp_path / "damping.json"), "--shots", "10000", "--seed", "3"]
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "shots": 10000,\n  "seed": 3,\n  "max_entry_error": "9.340904667108e-03"\n}\n'
+    )
