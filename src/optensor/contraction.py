@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimMismatchError, LabelArityError
 from .notation import WireLabel
-from .operators import LabeledOperator, tensor_product
+from .operators import LabeledOperator
 
 
 @dataclass(frozen=True)
@@ -92,49 +92,64 @@ def _step_result(left: tuple, right: tuple) -> tuple[tuple[WireLabel, ...], tupl
     return over, legs, math.prod(leg.dim for leg in legs)
 
 
+def _pair_contract(
+    x: np.ndarray,
+    x_subs: Sequence[int],
+    y: np.ndarray,
+    y_subs: Sequence[int],
+    out_subs: Sequence[int],
+) -> np.ndarray:
+    """``np.einsum(x, x_subs, y, y_subs, out_subs)`` as one BLAS matrix product.
+
+    Each symbol appears at most once per operand.  Symbols carried by both
+    operands are summed over and every other symbol appears in ``out_subs``,
+    so the contraction is a ``tensordot`` followed by an axis permutation:
+    an outer product when nothing is shared, a scalar when everything is.
+    """
+    shared = set(x_subs) & set(y_subs)
+    x_axes = [i for i, s in enumerate(x_subs) if s in shared]
+    y_axes = [y_subs.index(x_subs[i]) for i in x_axes]
+    raw = np.tensordot(x, y, axes=(x_axes, y_axes))
+    raw_subs = [s for s in x_subs if s not in shared] + [s for s in y_subs if s not in shared]
+    return raw.transpose([raw_subs.index(s) for s in out_subs])
+
+
 def contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     """Contract all wire ids shared by two operators (tensor product if none).
 
     Each shared wire pairs the producer's ket with the consumer's bra and
     vice versa, i.e. the operators are multiplied in the shared subsystem
-    which is then traced out.
+    which is then traced out.  Surviving legs are ``a``'s followed by ``b``'s.
     """
-    shared = [leg.id for leg in a.legs if leg.id in set(b.ids)]
-    if not shared:
-        return tensor_product(a, b)
-    for wid in shared:
-        la, lb = a.leg(wid), b.leg(wid)
+    b_index = {leg.id: j for j, leg in enumerate(b.legs)}
+    shared = [(i, b_index[leg.id]) for i, leg in enumerate(a.legs) if leg.id in b_index]
+    for i, j in shared:
+        la, lb = a.legs[i], b.legs[j]
         if la.role == lb.role:
-            raise LabelArityError(f"wire id {wid} appears twice as {la.role}")
+            raise LabelArityError(f"wire id {la.id} appears twice as {la.role}")
         if la.sys != lb.sys or la.dim != lb.dim:
             raise DimMismatchError(
-                f"wire id {wid} joins {la.sys}(dim {la.dim}) to {lb.sys}(dim {lb.dim})"
+                f"wire id {la.id} joins {la.sys}(dim {la.dim}) to {lb.sys}(dim {lb.dim})"
             )
     ka, kb = len(a.legs), len(b.legs)
     sub_a = list(range(2 * ka))  # leg i: ket i, bra ka+i
-    sub_b = [0] * (2 * kb)
-    next_sym = 2 * ka
-    shared_set = set(shared)
-    for j, leg in enumerate(b.legs):
-        if leg.id in shared_set:
-            i = a.ids.index(leg.id)
-            sub_b[j] = sub_a[ka + i]      # consumer/producer ket takes partner bra
-            sub_b[kb + j] = sub_a[i]      # and bra takes partner ket
-        else:
-            sub_b[j] = next_sym
-            sub_b[kb + j] = next_sym + 1
-            next_sym += 2
-    open_a = [i for i, leg in enumerate(a.legs) if leg.id not in shared_set]
-    open_b = [j for j, leg in enumerate(b.legs) if leg.id not in shared_set]
+    sub_b = list(range(2 * ka, 2 * (ka + kb)))  # leg j: ket 2ka+j, bra 2ka+kb+j
+    for i, j in shared:
+        sub_b[j] = sub_a[ka + i]  # consumer/producer ket takes partner bra
+        sub_b[kb + j] = sub_a[i]  # and bra takes partner ket
+    shared_a = {i for i, _ in shared}
+    shared_b = {j for _, j in shared}
+    open_a = [i for i in range(ka) if i not in shared_a]
+    open_b = [j for j in range(kb) if j not in shared_b]
     out = (
         [sub_a[i] for i in open_a]
         + [sub_b[j] for j in open_b]
         + [sub_a[ka + i] for i in open_a]
         + [sub_b[kb + j] for j in open_b]
     )
-    raw = np.einsum(a.tensor(), sub_a, b.tensor(), sub_b, out)
+    raw = _pair_contract(a.tensor(), sub_a, b.tensor(), sub_b, out)
     legs = tuple(a.legs[i] for i in open_a) + tuple(b.legs[j] for j in open_b)
-    dim = int(np.prod([leg.dim for leg in legs])) if legs else 1
+    dim = math.prod(leg.dim for leg in legs)
     return LabeledOperator(legs, raw.reshape(dim, dim), min(a.tol, b.tol))
 
 
@@ -225,9 +240,8 @@ def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> Label
     if len(operands) != 1:
         raise ValueError("plan did not reduce to a single operand")
     (result,) = operands.values()
-    open_order = [
-        leg.id for op in ops for leg in op.legs if leg.id in set(result.ids)
-    ]
+    open_ids = set(result.ids)
+    open_order = [leg.id for op in ops for leg in op.legs if leg.id in open_ids]
     return result.permuted(open_order)
 
 

@@ -283,7 +283,7 @@ def reconstruct(
         stack = _fiducial_stack(fsets, leg)
         operands.extend([stack, [m, k + m, 2 * k + m]])
     out = list(range(k, 2 * k)) + list(range(2 * k, 3 * k))
-    raw = np.einsum(*operands, out)
+    raw = np.einsum(*operands, out, optimize=True)
     dim = int(np.prod([l.dim for l in legs])) if legs else 1
     return LabeledOperator(legs, raw.reshape(dim, dim), tol)
 

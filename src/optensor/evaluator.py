@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binding import Binding, resolve_binding
-from .contraction import circuit_trace
+from .contraction import _pair_contract, circuit_trace
 from .errors import (
     NonCircuitTermError,
     PhysicalityWarning,
@@ -87,15 +87,19 @@ def probability_foliated(
         _warn_nonphysical(circuit, bound, eps)
     fol = foliate(circuit, policy)
 
+    # Relabeling keeps leg order and matrix (see _warn_nonphysical), so one
+    # Choi tensor serves every operation with a given name.
+    chois: dict[str, np.ndarray] = {}
     live: list[int] = []  # wire ids carried by the state, in axis order
     state = np.array(1.0 + 0.0j)  # axes: kets of live wires, then bras
     for layer in fol.layers:
         for op_index in layer:
             decl = circuit.ops[op_index]
-            op = bound[op_index]
             in_ids = [w.id for w in decl.inputs]
-            ordered = op.permuted(in_ids + [w.id for w in decl.outputs])
-            choi = input_transpose(ordered)
+            choi = chois.get(decl.name)
+            if choi is None:
+                ordered = bound[op_index].permuted(in_ids + [w.id for w in decl.outputs])
+                choi = chois[decl.name] = input_transpose(ordered).tensor()
             p = len(in_ids)
             q = len(decl.outputs)
             k = len(live)
@@ -117,7 +121,7 @@ def probability_foliated(
                 + [state_subs[k + i] for i in keep]
                 + out_new[q:]
             )
-            state = np.einsum(state, state_subs, choi.tensor(), choi_subs, out_subs)
+            state = _pair_contract(state, state_subs, choi, choi_subs, out_subs)
             live = [live[i] for i in keep] + [w.id for w in decl.outputs]
     if live:
         raise AssertionError("open wires remained after the final layer")

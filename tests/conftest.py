@@ -105,3 +105,39 @@ def random_open_fragment(rng: np.random.Generator, type_dims=None):
     keep = [d for d in frag.ops if d.inputs == () or d.outputs != ()]
     names = {d.name for d in keep}
     return fragment_from_ops(keep), {k: v for k, v in binding.items() if k in names}
+
+
+def random_brickwork(rng: np.random.Generator, width: int, depth: int):
+    """A closed qubit brickwork plus a physical binding.
+
+    Each wire is prepared, passes ``depth`` layers of trace-preserving
+    two-wire gates on neighbour pairs starting at wire ``layer % 2``, and is
+    measured.  Gates are drawn from three names, so operations on different
+    wires share one bound operator, as in circuits that reuse gates.
+    """
+    wires = [WireLabel("a", w) for w in range(1, width + 1)]
+    next_id = width + 1
+    decls: list[OperationDecl] = []
+    binding = {}
+
+    def legs(ws, role: str) -> list[Leg]:
+        return [Leg(w.sys, w.id, role, 2) for w in ws]
+
+    for w in wires:
+        decls.append(OperationDecl(f"P{w.id}", (), (w,)))
+        binding[f"P{w.id}"] = random_preparation(legs([w], OUTPUT), rng)
+    for layer in range(depth):
+        for q in range(layer % 2, width - 1, 2):
+            ins = (wires[q], wires[q + 1])
+            wires[q], wires[q + 1] = WireLabel("a", next_id), WireLabel("a", next_id + 1)
+            next_id += 2
+            name = f"G{rng.integers(3)}"
+            decls.append(OperationDecl(name, ins, (wires[q], wires[q + 1])))
+            if name not in binding:
+                binding[name] = random_physical_transformation(
+                    legs(ins, INPUT), legs(wires[q : q + 2], OUTPUT), rng, trace_preserving=True
+                )
+    for w in wires:
+        decls.append(OperationDecl(f"R{w.id}", (w,), ()))
+        binding[f"R{w.id}"] = random_result(legs([w], INPUT), rng)
+    return fragment_from_ops(decls), binding

@@ -9,12 +9,12 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from conftest import random_circuit
+from conftest import random_brickwork, random_circuit
 
 import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
 from optensor.binding import resolve_binding
-from optensor.contraction import ContractionPlan, PlanStep
+from optensor.contraction import ContractionPlan, PlanStep, _pair_contract
 from optensor.notation import INPUT, OUTPUT
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -267,22 +267,6 @@ def chain(rng, n_ops, dim=2):
     return ops
 
 
-def brickwork(rng, width, depth):
-    """Preparations, ``depth`` layers of alternating two-wire gates, results."""
-    wires = list(range(1, width + 1))
-    next_id = width + 1
-    ops = [ot.random_preparation([Leg("a", w, OUTPUT, 2)], rng) for w in wires]
-    for layer in range(depth):
-        for q in range(layer % 2, width - 1, 2):
-            ins = [Leg("a", wires[q], INPUT, 2), Leg("a", wires[q + 1], INPUT, 2)]
-            wires[q], wires[q + 1] = next_id, next_id + 1
-            next_id += 2
-            outs = [Leg("a", wires[q], OUTPUT, 2), Leg("a", wires[q + 1], OUTPUT, 2)]
-            ops.append(ot.random_physical_transformation(ins, outs, rng))
-    ops += [ot.random_result([Leg("a", w, INPUT, 2)], rng) for w in wires]
-    return ops
-
-
 def assert_same_plans(ops):
     for planner, reference in (
         (ot.plan_contraction, _reference_greedy),
@@ -305,7 +289,7 @@ class TestPlanIdentity:
         assert_same_plans(chain(rng, 100))
 
     def test_width_three_brickwork(self, rng):
-        ops = brickwork(rng, width=3, depth=8)
+        ops = resolve_binding(*random_brickwork(rng, width=3, depth=8))
         assert_same_plans(ops)
         assert_same_plans(ops[::-1])
 
@@ -344,3 +328,60 @@ class TestPlanIdentity:
             with pytest.raises(error) as caught:
                 planner(ops)
             assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The pair-contraction kernel against np.einsum on the same sublists.
+
+
+def einsum_operands(rng, dims, x_syms, y_syms):
+    """Random complex operands carrying the given symbols, and an output order."""
+    def draw(syms):
+        shape = [dims[s] for s in syms]
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    open_syms = [s for s in x_syms + y_syms if (s in x_syms) != (s in y_syms)]
+    out = [open_syms[i] for i in rng.permutation(len(open_syms))]
+    return draw(x_syms), draw(y_syms), out
+
+
+def assert_kernel_matches_einsum(x, x_subs, y, y_subs, out):
+    got = _pair_contract(x, x_subs, y, y_subs, out)
+    want = np.einsum(x, x_subs, y, y_subs, out)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+class TestPairKernel:
+    def test_random_qubit_qutrit_pairs(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            dims = [int(d) for d in rng.choice([2, 3], size=n)]
+            syms = list(rng.permutation(n))
+            cut_x, cut_y = sorted(rng.integers(0, n + 1, size=2))
+            # x holds syms[:cut_y], y holds syms[cut_x:]; the overlap is shared
+            x_syms = [int(s) for s in rng.permutation(syms[:cut_y])]
+            y_syms = [int(s) for s in rng.permutation(syms[cut_x:])]
+            x, y, out = einsum_operands(rng, dims, x_syms, y_syms)
+            assert_kernel_matches_einsum(x, x_syms, y, y_syms, out)
+
+    def test_no_shared_symbols_is_outer_product(self, rng):
+        dims = [2, 3, 2, 3]
+        x, y, out = einsum_operands(rng, dims, [0, 1], [2, 3])
+        assert_kernel_matches_einsum(x, [0, 1], y, [2, 3], out)
+        scalar = np.array(2.0 - 1.0j)
+        assert_kernel_matches_einsum(scalar, [], y, [2, 3], [3, 2])
+
+    def test_every_symbol_shared_is_scalar(self, rng):
+        dims = [3, 2, 3]
+        x, y, out = einsum_operands(rng, dims, [0, 1, 2], [2, 0, 1])
+        assert out == []
+        assert_kernel_matches_einsum(x, [0, 1, 2], y, [2, 0, 1], out)
+
+    def test_non_contiguous_inputs(self, rng):
+        dims = [2, 3, 2, 3, 2]
+        x, y, out = einsum_operands(rng, dims, [0, 1, 2, 3], [3, 1, 4])
+        xt = x.transpose(2, 0, 3, 1)
+        yt = y[:, :, ::-1].transpose(1, 2, 0)
+        assert not xt.flags.c_contiguous and not yt.flags.c_contiguous
+        assert_kernel_matches_einsum(xt, [2, 0, 3, 1], yt, [1, 4, 3], out)

@@ -7,7 +7,13 @@ import pytest
 
 import optensor as ot
 from optensor import Leg, SystemType, WireLabel
-from optensor.duotensor import BLACK, WHITE, _solve_gram, compute_hopping_metric
+from optensor.duotensor import (
+    BLACK,
+    WHITE,
+    _fiducial_stack,
+    _solve_gram,
+    compute_hopping_metric,
+)
 from optensor.notation import INPUT, OUTPUT
 
 QUBIT = SystemType("a", 2)
@@ -135,6 +141,25 @@ class TestDecompose:
             )
             back = ot.reconstruct(ot.decompose(op, fsets), fsets, legs=op.legs)
             assert np.max(np.abs(back.matrix - op.matrix)) <= 1e-10
+
+    def test_reconstruct_matches_pathless_einsum(self, rng, qubit_fiducials, qutrit_fiducials):
+        """The contraction-path einsum against the one-pass expression it replaced."""
+        fsets = {"a": qubit_fiducials, "b": qutrit_fiducials}
+        for legs in (
+            (Leg("b", 1, INPUT, 3), Leg("b", 2, INPUT, 3), Leg("b", 3, OUTPUT, 3)),
+            (Leg("a", 1, INPUT, 2), Leg("b", 2, OUTPUT, 3)),
+            (Leg("a", 1, OUTPUT, 2),),
+        ):
+            shape = tuple(leg.dim**2 for leg in legs)
+            indices = tuple(ot.DuoIndex(l.sys, l.id, l.role, l.dim, WHITE) for l in legs)
+            dt = ot.Duotensor(indices, rng.standard_normal(shape))
+            k = len(legs)
+            operands = [dt.data, list(range(k))]
+            for m, leg in enumerate(legs):
+                operands.extend([_fiducial_stack(fsets, leg), [m, k + m, 2 * k + m]])
+            want = np.einsum(*operands, list(range(k, 3 * k)))
+            got = ot.reconstruct(dt, fsets).matrix
+            assert np.max(np.abs(got - want.reshape(got.shape))) <= 1e-12
 
     def test_zero_duotensor_reconstructs_zero(self, qubit_fiducials):
         dt = ot.Duotensor(

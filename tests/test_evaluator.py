@@ -7,7 +7,7 @@ import pytest
 import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
 from optensor.notation import INPUT, OUTPUT
-from conftest import random_circuit, random_open_fragment
+from conftest import random_brickwork, random_circuit, random_open_fragment
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -396,3 +396,14 @@ def test_two_thousand_op_chain_evaluates_by_both_routes(rng):
     layered = ot.probability_foliated(frag, binding)
     assert abs(direct - 1.0) <= 1e-10
     assert abs(direct - layered) <= 1e-10
+
+
+def test_ten_qubit_brickwork_routes_agree(rng):
+    """Both routes on a 61-op brickwork whose foliated state spans 2**20 entries."""
+    frag, binding = random_brickwork(rng, width=10, depth=9)
+    assert len(frag.ops) == 61
+    direct = ot.probability(frag, binding)
+    layered = ot.probability_foliated(frag, binding)
+    assert 0.0 < direct < 1.0
+    assert abs(direct - layered) <= 1e-10
+    assert abs(direct - layered) <= 1e-8 * direct
