@@ -245,19 +245,11 @@ def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> Label
     return result.permuted(open_order)
 
 
-def circuit_trace(
-    ops: Sequence[LabeledOperator], planner: str = "greedy"
-) -> LabeledOperator:
+def circuit_trace(ops: Sequence[LabeledOperator]) -> LabeledOperator:
     """Contract every repeated wire id across the operand list.
 
     Returns the operator on the non-repeated legs, ordered as they first
     appear in the operand scan; with no open legs the result is a 1x1 scalar
     operator.
     """
-    if planner == "greedy":
-        plan = plan_contraction(ops)
-    elif planner == "left-to-right":
-        plan = plan_left_to_right(ops)
-    else:
-        raise ValueError(f"unknown planner {planner!r}")
-    return execute_plan(ops, plan)
+    return execute_plan(ops, plan_contraction(ops))

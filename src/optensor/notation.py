@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CircuitSyntaxError,
@@ -116,10 +116,6 @@ class CircuitFragment:
             return RESULT
         return TRANSFORMATION_FRAGMENT
 
-    def op_edges(self) -> set[tuple[int, int]]:
-        """Directed producer->consumer edges between operation indices."""
-        return {(w.producer, w.consumer) for w in self.internal_wires}
-
     def __str__(self) -> str:
         return " ".join(str(op) for op in self.ops)
 
@@ -211,16 +207,14 @@ def fragment_from_ops(ops: Iterable[OperationDecl]) -> CircuitFragment:
         for slot, lab in enumerate(op.outputs):
             occurrences.setdefault(lab.id, []).append((i, OUTPUT, slot, lab))
 
-    open_inputs: list[WireLabel] = []
-    open_outputs: list[WireLabel] = []
+    open_ports: set[WireLabel] = set()
     wires: list[InternalWire] = []
     for wire_id, occ in sorted(occurrences.items()):
         if len(occ) > 2:
             where = ", ".join(f"{ops[i].name}.{role}" for i, role, _, _ in occ)
             raise OneWireViolation(f"id {wire_id} used {len(occ)} times ({where})")
         if len(occ) == 1:
-            i, role, slot, lab = occ[0]
-            (open_inputs if role == INPUT else open_outputs).append(lab)
+            open_ports.add(occ[0][3])
             continue
         (i1, r1, s1, l1), (i2, r2, s2, l2) = occ
         if r1 == r2:
@@ -237,28 +231,44 @@ def fragment_from_ops(ops: Iterable[OperationDecl]) -> CircuitFragment:
         else:
             wires.append(InternalWire(i2, s2, i1, s1, l2))
 
-    _check_acyclic(ops, wires)
+    _dag_order(ops, wires)
     # open ports in declaration order
-    open_inputs = [lab for op in ops for lab in op.inputs if lab in set(open_inputs)]
-    open_outputs = [lab for op in ops for lab in op.outputs if lab in set(open_outputs)]
-    return CircuitFragment(ops, tuple(open_inputs), tuple(open_outputs), tuple(wires))
+    open_inputs = tuple(lab for op in ops for lab in op.inputs if lab in open_ports)
+    open_outputs = tuple(lab for op in ops for lab in op.outputs if lab in open_ports)
+    return CircuitFragment(ops, open_inputs, open_outputs, tuple(wires))
 
 
-def _check_acyclic(ops: tuple[OperationDecl, ...], wires: list[InternalWire]) -> None:
-    succ: dict[int, set[int]] = {i: set() for i in range(len(ops))}
+def _successors(n: int, wires: Iterable[InternalWire]) -> list[list[int]]:
+    """Each operation's distinct consumers, in increasing index order."""
+    succ: list[set[int]] = [set() for _ in range(n)]
+    for w in wires:
+        succ[w.producer].add(w.consumer)
+    return [sorted(s) for s in succ]
+
+
+def _dag_order(
+    ops: Sequence[OperationDecl], wires: Sequence[InternalWire]
+) -> tuple[list[int], list[list[int]]]:
+    """A topological order of the operations, and their successor lists.
+
+    The order is the reverse finish order of a depth-first search that starts
+    from each operation in index order and visits successors in sorted order.
+    Raises :class:`ClosedLoop` naming the first self-loop in wire order, else
+    the first cycle the search meets.
+    """
     for w in wires:
         if w.producer == w.consumer:
             raise ClosedLoop(f"{ops[w.producer].name} -> {ops[w.producer].name}")
-        succ[w.producer].add(w.consumer)
+    succ = _successors(len(ops), wires)
     state = [0] * len(ops)  # 0 unseen, 1 on stack, 2 done
-    # Depth-first search with an explicit stack, so that long chains do not
-    # hit the recursion limit; successors are visited in sorted order.
+    finished: list[int] = []
+    # An explicit stack, so that long chains do not hit the recursion limit.
     for start in range(len(ops)):
         if state[start] != 0:
             continue
         state[start] = 1
         stack = [start]
-        pending = [iter(sorted(succ[start]))]
+        pending = [iter(succ[start])]
         while stack:
             for nxt in pending[-1]:
                 if state[nxt] == 1:
@@ -267,11 +277,15 @@ def _check_acyclic(ops: tuple[OperationDecl, ...], wires: list[InternalWire]) ->
                 if state[nxt] == 0:
                     state[nxt] = 1
                     stack.append(nxt)
-                    pending.append(iter(sorted(succ[nxt])))
+                    pending.append(iter(succ[nxt]))
                     break
             else:
-                state[stack.pop()] = 2
+                done = stack.pop()
+                state[done] = 2
+                finished.append(done)
                 pending.pop()
+    finished.reverse()
+    return finished, succ
 
 
 # ---------------------------------------------------------------------------
@@ -362,25 +376,19 @@ class CausalStructure:
 
 def causal_structure(frag: CircuitFragment) -> CausalStructure:
     """Compute which outputs can feed (directly or indirectly) into which inputs."""
-    n = len(frag.ops)
-    reach = [[False] * n for _ in range(n)]
-    for w in frag.internal_wires:
-        reach[w.producer][w.consumer] = True
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                row_k = reach[k]
-                row_i = reach[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    producers = [(i, lab) for i, op in enumerate(frag.ops) for lab in op.outputs]
-    consumers = [(j, lab) for j, op in enumerate(frag.ops) for lab in op.inputs]
+    order, succ = _dag_order(frag.ops, frag.internal_wires)
+    # reach[i] has bit j set when a path of at least one wire leads from i to j
+    reach = [0] * len(frag.ops)
+    for i in reversed(order):
+        for s in succ[i]:
+            reach[i] |= (1 << s) | reach[s]
     pairs = frozenset(
         (out_lab, in_lab)
-        for i, out_lab in producers
-        for j, in_lab in consumers
-        if reach[i][j]
+        for i, op in enumerate(frag.ops)
+        for j, bit in enumerate(bin(reach[i])[:1:-1])
+        if bit == "1"
+        for out_lab in op.outputs
+        for in_lab in frag.ops[j].inputs
     )
     return CausalStructure(pairs, frag.open_outputs, frag.open_inputs)
 
@@ -426,23 +434,18 @@ def foliate(frag: CircuitFragment, policy: str = "earliest") -> Foliation:
     n = len(frag.ops)
     if n == 0:
         return Foliation((), ())
-    preds: dict[int, list[int]] = {i: [] for i in range(n)}
-    succs: dict[int, list[int]] = {i: [] for i in range(n)}
-    for w in frag.internal_wires:
-        preds[w.consumer].append(w.producer)
-        succs[w.producer].append(w.consumer)
-
+    order, succ = _dag_order(frag.ops, frag.internal_wires)
     depth = [0] * n
-    for i in _topological_order(n, preds):
-        if preds[i]:
-            depth[i] = 1 + max(depth[p] for p in preds[i])
+    for i in order:
+        for s in succ[i]:
+            depth[s] = max(depth[s], depth[i] + 1)
     n_layers = 1 + max(depth)
 
     if policy == "latest":
         late = [n_layers - 1] * n
-        for i in reversed(_topological_order(n, preds)):
-            if succs[i]:
-                late[i] = min(late[s] for s in succs[i]) - 1
+        for i in reversed(order):
+            if succ[i]:
+                late[i] = min(late[s] for s in succ[i]) - 1
         depth = late
     elif policy != "earliest":
         raise ValueError(f"unknown foliation policy {policy!r}")
@@ -456,25 +459,6 @@ def foliate(frag: CircuitFragment, policy: str = "earliest") -> Foliation:
         for k in range(depth[w.producer] + 1, depth[w.consumer])
     ]
     return Foliation(tuple(tuple(l) for l in layers), tuple(paddings))
-
-
-def _topological_order(n: int, preds: dict[int, list[int]]) -> list[int]:
-    remaining = {i: len(preds[i]) for i in range(n)}
-    succ: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i, ps in preds.items():
-        for p in ps:
-            succ[p].append(i)
-    ready = sorted(i for i, c in remaining.items() if c == 0)
-    order: list[int] = []
-    while ready:
-        i = ready.pop(0)
-        order.append(i)
-        for s in succ[i]:
-            remaining[s] -= 1
-            if remaining[s] == 0:
-                ready.append(s)
-        ready.sort()
-    return order
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,8 @@ class TestPlanner:
         for _ in range(15):
             frag, binding = random_circuit(rng, max_ops=7)
             ops = resolve_binding(frag, binding)
-            greedy = ot.circuit_trace(ops, planner="greedy").scalar
-            sequential = ot.circuit_trace(ops, planner="left-to-right").scalar
+            greedy = ot.circuit_trace(ops).scalar
+            sequential = ot.execute_plan(ops, ot.plan_left_to_right(ops)).scalar
             assert abs(greedy - sequential) < 1e-10
 
     def test_empty_operand_list(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from optensor import (
+    CircuitFragment,
     CircuitSyntaxError,
     ClosedLoop,
     OneWireViolation,
@@ -13,11 +14,13 @@ from optensor import (
     canonicalize,
     causal_structure,
     foliate,
+    fragment_from_ops,
     parse_circuit,
     parse_registry,
     print_circuit,
 )
-from conftest import random_circuit
+from optensor.notation import CausalStructure, Foliation, PaddingIdentity
+from conftest import random_brickwork, random_circuit
 
 MEDIUM = "A^{a1 b2} B^{a3 d4} C_{b2 a3}^{a5} D_{a1}^{b6} E_{a5 d4}^{c7} F_{b6 c7}"
 
@@ -186,7 +189,7 @@ def test_foliation_layer_count_is_longest_path(rng):
     for _ in range(25):
         frag, _ = random_circuit(rng, max_ops=8)
         fol = foliate(frag)
-        edges = frag.op_edges()
+        edges = {(w.producer, w.consumer) for w in frag.internal_wires}
         # brute-force longest path by memoized depth
         depth = {}
 
@@ -233,6 +236,132 @@ def test_random_dags_accepted_and_mutations_rejected(rng):
         # fresh two-cycle appended
         with pytest.raises(ClosedLoop):
             parse_circuit(text + " Y_{z900}^{z901} Z_{z901}^{z900}")
+
+
+def test_open_ports_keep_declaration_order_at_scale():
+    n = 2000
+    frag = parse_circuit(" ".join(f"P{k}^{{a{n - k}}}" for k in range(n)))
+    assert frag.kind == "preparation"
+    assert frag.open_outputs == tuple(WireLabel("a", n - k) for k in range(n))
+
+
+# ---------------------------------------------------------------------------
+# The one DFS order against the graph algorithms it replaced: Floyd-Warshall
+# reachability and Kahn-sorted foliation, kept verbatim apart from their names
+# and docstrings.
+
+
+def _reference_causal_structure(frag: CircuitFragment) -> CausalStructure:
+    """Reachability by a pure-Python Floyd-Warshall: O(n^3)."""
+    n = len(frag.ops)
+    reach = [[False] * n for _ in range(n)]
+    for w in frag.internal_wires:
+        reach[w.producer][w.consumer] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                row_k = reach[k]
+                row_i = reach[i]
+                for j in range(n):
+                    if row_k[j]:
+                        row_i[j] = True
+    producers = [(i, lab) for i, op in enumerate(frag.ops) for lab in op.outputs]
+    consumers = [(j, lab) for j, op in enumerate(frag.ops) for lab in op.inputs]
+    pairs = frozenset(
+        (out_lab, in_lab)
+        for i, out_lab in producers
+        for j, in_lab in consumers
+        if reach[i][j]
+    )
+    return CausalStructure(pairs, frag.open_outputs, frag.open_inputs)
+
+
+def _reference_foliate(frag: CircuitFragment, policy: str = "earliest") -> Foliation:
+    """Foliation over a Kahn sort that re-sorts its ready list after each pop."""
+    n = len(frag.ops)
+    if n == 0:
+        return Foliation((), ())
+    preds: dict[int, list[int]] = {i: [] for i in range(n)}
+    succs: dict[int, list[int]] = {i: [] for i in range(n)}
+    for w in frag.internal_wires:
+        preds[w.consumer].append(w.producer)
+        succs[w.producer].append(w.consumer)
+
+    depth = [0] * n
+    for i in _reference_topological_order(n, preds):
+        if preds[i]:
+            depth[i] = 1 + max(depth[p] for p in preds[i])
+    n_layers = 1 + max(depth)
+
+    if policy == "latest":
+        late = [n_layers - 1] * n
+        for i in reversed(_reference_topological_order(n, preds)):
+            if succs[i]:
+                late[i] = min(late[s] for s in succs[i]) - 1
+        depth = late
+    elif policy != "earliest":
+        raise ValueError(f"unknown foliation policy {policy!r}")
+
+    layers: list[list[int]] = [[] for _ in range(n_layers)]
+    for i, d in enumerate(depth):
+        layers[d].append(i)
+    paddings = [
+        PaddingIdentity(w.label, k)
+        for w in frag.internal_wires
+        for k in range(depth[w.producer] + 1, depth[w.consumer])
+    ]
+    return Foliation(tuple(tuple(l) for l in layers), tuple(paddings))
+
+
+def _reference_topological_order(n: int, preds: dict[int, list[int]]) -> list[int]:
+    remaining = {i: len(preds[i]) for i in range(n)}
+    succ: dict[int, list[int]] = {i: [] for i in range(n)}
+    for i, ps in preds.items():
+        for p in ps:
+            succ[p].append(i)
+    ready = sorted(i for i, c in remaining.items() if c == 0)
+    order: list[int] = []
+    while ready:
+        i = ready.pop(0)
+        order.append(i)
+        for s in succ[i]:
+            remaining[s] -= 1
+            if remaining[s] == 0:
+                ready.append(s)
+        ready.sort()
+    return order
+
+
+def _generated_fragments(rng):
+    """Random circuits and brickworks, each also reversed and unmeasured."""
+    circuits = [random_circuit(rng, max_ops=int(rng.integers(4, 21)))[0] for _ in range(40)]
+    circuits += [
+        random_brickwork(rng, width=int(rng.integers(2, 6)), depth=int(rng.integers(1, 9)))[0]
+        for _ in range(10)
+    ]
+    for frag in circuits:
+        yield frag
+        yield fragment_from_ops(frag.ops[::-1])
+        yield fragment_from_ops(op for op in frag.ops if op.outputs)
+
+
+def test_causal_structure_matches_floyd_warshall(rng):
+    for frag in _generated_fragments(rng):
+        assert causal_structure(frag) == _reference_causal_structure(frag)
+
+
+def test_foliate_matches_kahn_reference(rng):
+    for frag in _generated_fragments(rng):
+        for policy in ("earliest", "latest"):
+            assert foliate(frag, policy) == _reference_foliate(frag, policy)
+
+
+def test_closed_chain_causal_pairs_are_all_forward_pairs():
+    n = 600
+    text = "A^{a1} " + " ".join(f"T_{{a{k}}}^{{a{k + 1}}}" for k in range(1, n - 1))
+    frag = parse_circuit(text + f" R_{{a{n - 1}}}")
+    assert len(frag.ops) == n and frag.kind == "circuit"
+    assert len(causal_structure(frag).pairs) == n * (n - 1) // 2
 
 
 def test_parse_registry():
