@@ -14,7 +14,8 @@ order of operations in the text is irrelevant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Set
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -355,42 +356,98 @@ def print_circuit(frag: CircuitFragment) -> str:
 class CausalStructure:
     """Reachability from output ports to input ports through the wiring.
 
-    ``pairs`` holds ``(out_label, in_label)`` whenever a directed path of at
-    least one wire leads from the operation producing ``out_label`` to the
-    operation consuming ``in_label``.
+    It stores the fragment's operations, one reachability bitset per
+    operation (bit ``j`` of the Python int ``reach[i]`` is set when a
+    directed path of at least one wire leads from operation ``i`` to
+    operation ``j``), and, for each role, a map from port label to the
+    operation holding it (``producer``, ``consumer``).  ``(out_label,
+    in_label)`` is related when ``out_label``'s producer reaches
+    ``in_label``'s consumer.  ``pairs`` is a lazy read-only set of the
+    related pairs: its ``len`` is exact and is counted from the bitsets
+    without materializing a pair.
     """
 
-    pairs: frozenset[tuple[WireLabel, WireLabel]]
+    ops: tuple[OperationDecl, ...]
+    reach: tuple[int, ...]
     open_output_labels: tuple[WireLabel, ...]
     open_input_labels: tuple[WireLabel, ...]
+    producer: dict[WireLabel, int] = field(init=False, repr=False, compare=False)
+    consumer: dict[WireLabel, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        producer = {lab: i for i, op in enumerate(self.ops) for lab in op.outputs}
+        consumer = {lab: j for j, op in enumerate(self.ops) for lab in op.inputs}
+        object.__setattr__(self, "producer", producer)
+        object.__setattr__(self, "consumer", consumer)
+
+    @property
+    def pairs(self) -> Set[tuple[WireLabel, WireLabel]]:
+        return _CausalPairs(self)
 
     def reaches(self, out_label: WireLabel, in_label: WireLabel) -> bool:
-        return (out_label, in_label) in self.pairs
+        i = self.producer.get(out_label)
+        j = self.consumer.get(in_label)
+        return i is not None and j is not None and self.reach[i] >> j & 1 == 1
 
     def open_pairs(self) -> frozenset[tuple[WireLabel, WireLabel]]:
         """Restriction of the relation to the fragment's open ports."""
-        outs = set(self.open_output_labels)
-        ins = set(self.open_input_labels)
-        return frozenset((o, i) for o, i in self.pairs if o in outs and i in ins)
+        return frozenset(
+            (o, i)
+            for o in self.open_output_labels
+            for i in self.open_input_labels
+            if self.reaches(o, i)
+        )
+
+
+class _CausalPairs(Set):
+    """The ``(out_label, in_label)`` pairs of a :class:`CausalStructure`, read lazily."""
+
+    __slots__ = ("_cs",)
+
+    def __init__(self, cs: CausalStructure):
+        self._cs = cs
+
+    @classmethod
+    def _from_iterable(cls, it):
+        # results of set operators such as ``&`` are ordinary frozensets
+        return frozenset(it)
+
+    def __contains__(self, item) -> bool:
+        return isinstance(item, tuple) and len(item) == 2 and self._cs.reaches(*item)
+
+    def __iter__(self) -> Iterator[tuple[WireLabel, WireLabel]]:
+        ops = self._cs.ops
+        for op, reach in zip(ops, self._cs.reach):
+            if not op.outputs:
+                continue
+            for j, bit in enumerate(bin(reach)[:1:-1]):
+                if bit == "1":
+                    for out_lab in op.outputs:
+                        for in_lab in ops[j].inputs:
+                            yield out_lab, in_lab
+
+    def __len__(self) -> int:
+        # sum over i of |outputs(i)| * sum over k of k * popcount(reach[i] & mask_k),
+        # where mask_k marks the operations with k inputs
+        masks: dict[int, int] = {}
+        for j, op in enumerate(self._cs.ops):
+            if op.inputs:
+                masks[len(op.inputs)] = masks.get(len(op.inputs), 0) | 1 << j
+        return sum(
+            len(op.outputs) * sum(k * (reach & mask).bit_count() for k, mask in masks.items())
+            for op, reach in zip(self._cs.ops, self._cs.reach)
+            if op.outputs and reach
+        )
 
 
 def causal_structure(frag: CircuitFragment) -> CausalStructure:
     """Compute which outputs can feed (directly or indirectly) into which inputs."""
     order, succ = _dag_order(frag.ops, frag.internal_wires)
-    # reach[i] has bit j set when a path of at least one wire leads from i to j
     reach = [0] * len(frag.ops)
     for i in reversed(order):
         for s in succ[i]:
             reach[i] |= (1 << s) | reach[s]
-    pairs = frozenset(
-        (out_lab, in_lab)
-        for i, op in enumerate(frag.ops)
-        for j, bit in enumerate(bin(reach[i])[:1:-1])
-        if bit == "1"
-        for out_lab in op.outputs
-        for in_lab in frag.ops[j].inputs
-    )
-    return CausalStructure(pairs, frag.open_outputs, frag.open_inputs)
+    return CausalStructure(frag.ops, tuple(reach), frag.open_outputs, frag.open_inputs)
 
 
 # ---------------------------------------------------------------------------

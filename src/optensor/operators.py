@@ -60,9 +60,7 @@ class LabeledOperator:
 
     def __init__(self, legs: Iterable[Leg], matrix: np.ndarray, tol: float = DEFAULT_TOL):
         legs = tuple(legs)
-        ids = [leg.id for leg in legs]
-        if len(set(ids)) != len(ids):
-            raise DuplicateLabelError(f"repeated wire ids in {[str(l) for l in legs]}")
+        _check_distinct_ids(legs)
         dim = 1
         for leg in legs:
             dim *= leg.dim
@@ -78,6 +76,21 @@ class LabeledOperator:
             raise NonHermitianError(f"max |M - M^dag| = {deviation:.3e} exceeds tol={tol:.1e}")
         matrix = 0.5 * (matrix + matrix.conj().T)
         matrix.setflags(write=False)
+        self._set(legs, matrix, tol)
+
+    @classmethod
+    def _from_valid(cls, legs: tuple[Leg, ...], matrix: np.ndarray, tol: float) -> LabeledOperator:
+        """An operator on a matrix that is already Hermitian, finite and read-only.
+
+        For new legs over a validated matrix or an exact rearrangement of one,
+        which needs neither the checks nor the symmetrizing copy again.
+        """
+        _check_distinct_ids(legs)
+        op = object.__new__(cls)
+        op._set(legs, matrix, tol)
+        return op
+
+    def _set(self, legs: tuple[Leg, ...], matrix: np.ndarray, tol: float) -> None:
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "tol", tol)
@@ -140,7 +153,10 @@ class LabeledOperator:
         tensor = self.tensor().transpose(perm + [p + k for p in perm])
         new_legs = tuple(self.legs[p] for p in perm)
         dim = self.dim
-        return LabeledOperator(new_legs, tensor.reshape(dim, dim), self.tol)
+        # P M P^T moves entries without arithmetic: still exactly Hermitian and finite
+        matrix = tensor.reshape(dim, dim)
+        matrix.setflags(write=False)
+        return LabeledOperator._from_valid(new_legs, matrix, self.tol)
 
     def relabeled(self, mapping: dict[int, WireLabel | int]) -> LabeledOperator:
         """Rename wire ids (and optionally types); matrix is unchanged."""
@@ -153,11 +169,17 @@ class LabeledOperator:
                 new_legs.append(Leg(target.sys, target.id, leg.role, leg.dim))
             else:
                 new_legs.append(Leg(leg.sys, int(target), leg.role, leg.dim))
-        return LabeledOperator(tuple(new_legs), self.matrix, self.tol)
+        return LabeledOperator._from_valid(tuple(new_legs), self.matrix, self.tol)
 
     def __repr__(self) -> str:
         legs = ", ".join(str(l) for l in self.legs)
         return f"LabeledOperator([{legs}], dim={self.dim})"
+
+
+def _check_distinct_ids(legs: tuple[Leg, ...]) -> None:
+    ids = [leg.id for leg in legs]
+    if len(set(ids)) != len(ids):
+        raise DuplicateLabelError(f"repeated wire ids in {[str(l) for l in legs]}")
 
 
 def _resolve_ids(op: LabeledOperator, over: Iterable[WireLabel | Leg | int]) -> list[int]:

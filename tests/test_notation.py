@@ -1,5 +1,7 @@
 """Parser, canonical printing, causal structure, and foliation."""
 
+from collections.abc import Set
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from optensor import (
     CircuitFragment,
     CircuitSyntaxError,
     ClosedLoop,
+    Leg,
     OneWireViolation,
     SystemType,
     TypeMismatch,
@@ -18,8 +21,13 @@ from optensor import (
     parse_circuit,
     parse_registry,
     print_circuit,
+    probability,
+    probability_foliated,
+    random_physical_transformation,
+    random_preparation,
+    random_result,
 )
-from optensor.notation import CausalStructure, Foliation, PaddingIdentity
+from optensor.notation import INPUT, OUTPUT, Foliation, PaddingIdentity
 from conftest import random_brickwork, random_circuit
 
 MEDIUM = "A^{a1 b2} B^{a3 d4} C_{b2 a3}^{a5} D_{a1}^{b6} E_{a5 d4}^{c7} F_{b6 c7}"
@@ -152,8 +160,15 @@ def test_causal_structure_single_op_empty():
 def test_causal_structure_chain_transitive():
     frag = parse_circuit("A^{a1} B_{a1}^{a2} C_{a2}")
     cs = causal_structure(frag)
-    assert cs.reaches(WireLabel("a", 1), WireLabel("a", 2))
-    assert not cs.reaches(WireLabel("a", 2), WireLabel("a", 1))
+    a1, a2 = WireLabel("a", 1), WireLabel("a", 2)
+    assert cs.reaches(a1, a2)
+    assert not cs.reaches(a2, a1)
+    assert isinstance(cs.pairs, Set) and len(cs.pairs) == 3
+    assert list(cs.pairs) == [(a1, a1), (a1, a2), (a2, a2)]
+    assert (a1, a2) in cs.pairs and (a2, a1) not in cs.pairs and "a1" not in cs.pairs
+    assert cs.pairs & {(a1, a2), (a2, a1)} == frozenset([(a1, a2)])
+    with pytest.raises(TypeError):
+        hash(cs.pairs)
 
 
 def test_foliate_medium_circuit():
@@ -251,8 +266,8 @@ def test_open_ports_keep_declaration_order_at_scale():
 # and docstrings.
 
 
-def _reference_causal_structure(frag: CircuitFragment) -> CausalStructure:
-    """Reachability by a pure-Python Floyd-Warshall: O(n^3)."""
+def _reference_causal_structure(frag: CircuitFragment) -> frozenset:
+    """The causal pairs, by a pure-Python Floyd-Warshall: O(n^3)."""
     n = len(frag.ops)
     reach = [[False] * n for _ in range(n)]
     for w in frag.internal_wires:
@@ -273,7 +288,7 @@ def _reference_causal_structure(frag: CircuitFragment) -> CausalStructure:
         for j, in_lab in consumers
         if reach[i][j]
     )
-    return CausalStructure(pairs, frag.open_outputs, frag.open_inputs)
+    return pairs
 
 
 def _reference_foliate(frag: CircuitFragment, policy: str = "earliest") -> Foliation:
@@ -346,8 +361,21 @@ def _generated_fragments(rng):
 
 
 def test_causal_structure_matches_floyd_warshall(rng):
+    stranger = WireLabel("z", 999)  # a label in no generated fragment
     for frag in _generated_fragments(rng):
-        assert causal_structure(frag) == _reference_causal_structure(frag)
+        cs = causal_structure(frag)
+        reference = _reference_causal_structure(frag)
+        assert set(cs.pairs) == reference
+        assert len(cs.pairs) == len(reference)
+        outs = [lab for op in frag.ops for lab in op.outputs] + [stranger]
+        ins = [lab for op in frag.ops for lab in op.inputs] + [stranger]
+        for o in outs:
+            for i in ins:
+                assert cs.reaches(o, i) == ((o, i) in reference)
+        open_ports = set(frag.open_outputs) | set(frag.open_inputs)
+        assert cs.open_pairs() == {
+            (o, i) for o, i in reference if o in open_ports and i in open_ports
+        }
 
 
 def test_foliate_matches_kahn_reference(rng):
@@ -356,12 +384,53 @@ def test_foliate_matches_kahn_reference(rng):
             assert foliate(frag, policy) == _reference_foliate(frag, policy)
 
 
-def test_closed_chain_causal_pairs_are_all_forward_pairs():
-    n = 600
+def _assert_routes_agree(frag: CircuitFragment, binding) -> None:
+    """Parse the fragment's text, foliate it, and evaluate it by both routes."""
+    circuit = parse_circuit(str(frag))
+    assert circuit == frag
+    for policy in ("earliest", "latest"):
+        foliate(circuit, policy)
+    p = probability(circuit, binding)
+    q = probability_foliated(circuit, binding)
+    assert abs(p - q) <= 1e-10 and abs(p - q) <= 1e-8 * abs(p)
+
+
+def test_closed_chain_causal_pairs_are_all_forward_pairs(rng):
+    n = 5000
     text = "A^{a1} " + " ".join(f"T_{{a{k}}}^{{a{k + 1}}}" for k in range(1, n - 1))
     frag = parse_circuit(text + f" R_{{a{n - 1}}}")
     assert len(frag.ops) == n and frag.kind == "circuit"
-    assert len(causal_structure(frag).pairs) == n * (n - 1) // 2
+    cs = causal_structure(frag)
+    assert len(cs.pairs) == n * (n - 1) // 2
+    first, last = WireLabel("a", 1), WireLabel("a", n - 1)
+    assert cs.reaches(first, last) and not cs.reaches(last, first)
+    binding = {
+        "A": random_preparation([Leg("a", 1, OUTPUT, 2)], rng),
+        "T": random_physical_transformation(
+            [Leg("a", 1, INPUT, 2)], [Leg("a", 2, OUTPUT, 2)], rng, trace_preserving=True
+        ),
+        "R": random_result([Leg("a", 1, INPUT, 2)], rng),
+    }
+    _assert_routes_agree(frag, binding)
+
+
+def test_long_brickwork_causal_count_matches_bfs():
+    frag, binding = random_brickwork(np.random.default_rng(7), width=4, depth=500)
+    assert len(frag.ops) == 758
+    _assert_routes_agree(frag, binding)
+    unmeasured = fragment_from_ops(op for op in frag.ops if op.outputs)
+    succ: dict[int, set[int]] = {}
+    for w in unmeasured.internal_wires:
+        succ.setdefault(w.producer, set()).add(w.consumer)
+    expected = 0
+    for i, op in enumerate(unmeasured.ops):
+        seen: set[int] = set()
+        frontier = {i}
+        while frontier:
+            frontier = {s for j in frontier for s in succ.get(j, ())} - seen
+            seen |= frontier
+        expected += len(op.outputs) * sum(len(unmeasured.ops[j].inputs) for j in seen)
+    assert len(causal_structure(unmeasured).pairs) == expected
 
 
 def test_parse_registry():

@@ -1,6 +1,8 @@
 """Labeled-operator arithmetic: tensor products, partial trace/transpose,
 eigenvalues, random generators, and the file format."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,40 @@ class TestConstruction:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             op_out("a", 1, [[np.nan, 0], [0, 0]])
+
+
+class TestRearrangement:
+    def test_relabeled_reuses_the_matrix(self, rng):
+        op = ot.random_physical_transformation([Leg("a", 1, INPUT, 2)], [Leg("b", 2, OUTPUT, 3)], rng)
+        moved = op.relabeled({1: WireLabel("a", 7), 2: 8})
+        assert moved.matrix is op.matrix
+        assert [str(leg) for leg in moved.legs] == ["a7:inp", "b8:out"]
+
+    def test_relabeled_collision_rejected(self, rng):
+        op = ot.random_physical_transformation([Leg("a", 1, INPUT, 2)], [Leg("a", 2, OUTPUT, 2)], rng)
+        with pytest.raises(ot.DuplicateLabelError):
+            op.relabeled({1: 2})
+
+    def test_permuted_matches_constructor_bit_for_bit(self, rng):
+        """The unchecked permutation gives the bytes a full construction gives."""
+        in_legs = [Leg("a", 1, INPUT, 2), Leg("b", 2, INPUT, 3)]
+        out_legs = [Leg("b", 3, OUTPUT, 3), Leg("a", 4, OUTPUT, 2)]
+        ops = [
+            ot.random_physical_transformation(in_legs, out_legs, rng),
+            ot.random_physical_transformation(in_legs[:1], out_legs, rng, trace_preserving=True),
+            ot.tensor_product(
+                ot.identity_transformation(WireLabel("b", 2), WireLabel("b", 3), 3),
+                ot.random_preparation([Leg("a", 4, OUTPUT, 2)], rng),
+            ),
+        ]
+        for op in ops:
+            k = len(op.legs)
+            for perm in itertools.permutations(range(k)):
+                new = op.permuted([op.ids[p] for p in perm])
+                tensor = op.tensor().transpose(list(perm) + [p + k for p in perm])
+                old = LabeledOperator(new.legs, tensor.reshape(op.dim, op.dim), op.tol)
+                assert new.matrix.tobytes() == old.matrix.tobytes()
+                assert not new.matrix.flags.writeable
 
 
 class TestTensorProduct:
