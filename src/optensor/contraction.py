@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimMismatchError, LabelArityError
-from .notation import WireLabel
-from .operators import LabeledOperator
+from .notation import OUTPUT, WireLabel
+from .operators import LabeledOperator, scalar_operator
 
 
 @dataclass(frozen=True)
@@ -114,43 +114,26 @@ def _pair_contract(
     return raw.transpose([raw_subs.index(s) for s in out_subs])
 
 
+def _subscripts(legs: Sequence) -> list[int]:
+    """Symbols of an operand's ket axes then bra axes, drawn from wire ids.
+
+    A producer's ket is its consumer's bra and vice versa, so the two
+    symbols of a contracted wire appear in both operands and no other
+    symbol repeats.
+    """
+    kets = [2 * leg.id + (leg.role == OUTPUT) for leg in legs]
+    bras = [2 * leg.id + (leg.role != OUTPUT) for leg in legs]
+    return kets + bras
+
+
 def contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     """Contract all wire ids shared by two operators (tensor product if none).
 
-    Each shared wire pairs the producer's ket with the consumer's bra and
-    vice versa, i.e. the operators are multiplied in the shared subsystem
-    which is then traced out.  Surviving legs are ``a``'s followed by ``b``'s.
+    A one-step plan: each shared wire multiplies the operators in its
+    subsystem, which is then traced out.  Surviving legs are ``a``'s
+    followed by ``b``'s.
     """
-    b_index = {leg.id: j for j, leg in enumerate(b.legs)}
-    shared = [(i, b_index[leg.id]) for i, leg in enumerate(a.legs) if leg.id in b_index]
-    for i, j in shared:
-        la, lb = a.legs[i], b.legs[j]
-        if la.role == lb.role:
-            raise LabelArityError(f"wire id {la.id} appears twice as {la.role}")
-        if la.sys != lb.sys or la.dim != lb.dim:
-            raise DimMismatchError(
-                f"wire id {la.id} joins {la.sys}(dim {la.dim}) to {lb.sys}(dim {lb.dim})"
-            )
-    ka, kb = len(a.legs), len(b.legs)
-    sub_a = list(range(2 * ka))  # leg i: ket i, bra ka+i
-    sub_b = list(range(2 * ka, 2 * (ka + kb)))  # leg j: ket 2ka+j, bra 2ka+kb+j
-    for i, j in shared:
-        sub_b[j] = sub_a[ka + i]  # consumer/producer ket takes partner bra
-        sub_b[kb + j] = sub_a[i]  # and bra takes partner ket
-    shared_a = {i for i, _ in shared}
-    shared_b = {j for _, j in shared}
-    open_a = [i for i in range(ka) if i not in shared_a]
-    open_b = [j for j in range(kb) if j not in shared_b]
-    out = (
-        [sub_a[i] for i in open_a]
-        + [sub_b[j] for j in open_b]
-        + [sub_a[ka + i] for i in open_a]
-        + [sub_b[kb + j] for j in open_b]
-    )
-    raw = _pair_contract(a.tensor(), sub_a, b.tensor(), sub_b, out)
-    legs = tuple(a.legs[i] for i in open_a) + tuple(b.legs[j] for j in open_b)
-    dim = math.prod(leg.dim for leg in legs)
-    return LabeledOperator(legs, raw.reshape(dim, dim), min(a.tol, b.tol))
+    return execute_plan([a, b], plan_left_to_right([a, b]))
 
 
 class _PlanBuilder:
@@ -192,9 +175,14 @@ def plan_contraction(ops: Sequence[LabeledOperator]) -> ContractionPlan:
     ends = _wire_ends(ops)
     builder = _PlanBuilder(ops)
     legs_of = builder.legs_of
+    dims_of = {i: {leg.id: leg.dim for leg in legs} for i, legs in legs_of.items()}
+    size_of = {i: math.prod(dims.values()) for i, dims in dims_of.items()}
 
     def candidate(i: int, j: int) -> tuple[int, int, int]:
-        return _step_result(legs_of[i], legs_of[j])[2], i, j
+        # each shared wire leaves both operands: the product loses d twice
+        dims_i, dims_j = dims_of[i], dims_of[j]
+        shared = math.prod(d * d for w, d in dims_i.items() if w in dims_j)
+        return size_of[i] * size_of[j] // shared, i, j
 
     pairs = {tuple(holders) for holders in ends.values() if len(holders) == 2}
     heap = [candidate(i, j) for i, j in pairs]
@@ -204,6 +192,8 @@ def plan_contraction(ops: Sequence[LabeledOperator]) -> ContractionPlan:
         if i not in legs_of or j not in legs_of:
             continue
         k = builder.contract(i, j)
+        dims_of[k] = {leg.id: leg.dim for leg in legs_of[k]}
+        size_of[k] = builder.steps[-1].result_dim
         neighbours = set()
         for leg in legs_of[k]:
             holders = ends[leg.id] = [k if h in (i, j) else h for h in ends[leg.id]]
@@ -228,18 +218,31 @@ def plan_left_to_right(ops: Sequence[LabeledOperator]) -> ContractionPlan:
 
 
 def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> LabeledOperator:
-    operands: dict[int, LabeledOperator] = dict(enumerate(ops))
-    for step in plan.steps:
-        left = operands.pop(step.left)
-        right = operands.pop(step.right)
-        operands[step.result_index] = contract_pair(left, right)
-    if not operands:
-        from .operators import scalar_operator
+    """Run a plan on raw tensors and wrap only the result as an operator.
 
+    Each step joins two ``(tensor, legs)`` operands with the pair kernel,
+    its subscripts drawn from wire ids (see :func:`_subscripts`).
+    Intermediates are neither checked nor symmetrized: contracting two
+    Hermitian operators over the wires they share gives a Hermitian one in
+    exact arithmetic.  The result is built once with the full constructor
+    check at the operands' smallest ``tol``, so :class:`NonHermitianError`
+    reports the final deviation, and its legs are ordered as they first
+    appear in the operand scan.
+    """
+    if not ops:
         return scalar_operator(1.0)
+    operands = {i: (op.tensor(), op.legs) for i, op in enumerate(ops)}
+    for step in plan.steps:
+        x, x_legs = operands.pop(step.left)
+        y, y_legs = operands.pop(step.right)
+        _, legs, _ = _step_result(x_legs, y_legs)
+        raw = _pair_contract(x, _subscripts(x_legs), y, _subscripts(y_legs), _subscripts(legs))
+        operands[step.result_index] = (raw, legs)
     if len(operands) != 1:
         raise ValueError("plan did not reduce to a single operand")
-    (result,) = operands.values()
+    ((tensor, legs),) = operands.values()
+    dim = math.prod(leg.dim for leg in legs)
+    result = LabeledOperator(legs, tensor.reshape(dim, dim), min(op.tol for op in ops))
     open_ids = set(result.ids)
     open_order = [leg.id for op in ops for leg in op.legs if leg.id in open_ids]
     return result.permuted(open_order)

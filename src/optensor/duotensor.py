@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     ConditioningWarning,
     DimMismatchError,
+    NonHermitianError,
     ShapeMismatchError,
     SingularBasisError,
     SingularMetricError,
@@ -223,13 +224,22 @@ def _fiducial_overlaps(op: LabeledOperator, stacks: Sequence[np.ndarray]) -> np.
     """Tr((F_j1 x ... x F_jk) . op) for every choice of one fiducial per leg.
 
     One einsum over the operator tensor and one stack per leg, in leg order.
+    The overlaps of Hermitian matrices are real; an imaginary residue beyond
+    the operator's ``tol`` raises :class:`NonHermitianError` instead of
+    being dropped.
     """
     k = len(stacks)
     operands: list = [op.tensor(), list(range(2 * k))]
     for m, stack in enumerate(stacks):
         # Tr(F_j . op) on leg m: F's row meets op's bra, F's column the ket
         operands.extend([stack, [2 * k + m, k + m, m]])
-    return np.einsum(*operands, list(range(2 * k, 3 * k)), optimize=True).real
+    overlaps = np.einsum(*operands, list(range(2 * k, 3 * k)), optimize=True)
+    residue = float(np.max(np.abs(overlaps.imag)))
+    if residue > op.tol:
+        raise NonHermitianError(
+            f"fiducial overlaps have imaginary residue {residue:.3e} beyond tol={op.tol:.1e}"
+        )
+    return overlaps.real
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -9,20 +9,23 @@ must agree on every circuit.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binding import Binding, resolve_binding
-from .contraction import _pair_contract, circuit_trace
+from .contraction import circuit_trace
+from .duotensor import _fiducial_overlaps
 from .errors import (
     NonCircuitTermError,
     PhysicalityWarning,
     SignatureMismatchError,
     ZeroFragmentError,
 )
-from .notation import CIRCUIT, CircuitFragment, causal_structure, foliate
+from .notation import CIRCUIT, INPUT, CircuitFragment, causal_structure, foliate
 from .operators import LabeledOperator
 from .physicality import input_transpose, is_physical
 
@@ -74,11 +77,19 @@ def probability_foliated(
 ) -> float:
     """Probability via the layered state-evolution calculation.
 
-    Each transformation acts through the completely positive map read off
-    its input transpose (its Choi matrix); the running state is never
-    renormalized, so dropped weight carries the outcome probabilities.
-    Wires crossing a layer are carried through untouched, which realizes the
-    identity padding.
+    The unnormalized state is held as real coefficients: each live wire is
+    one axis of ``d**2`` entries ``Tr(G_a rho)`` in the orthonormal
+    Hermitian basis of :func:`_hermitian_basis`.  Each operation acts
+    through the real transfer matrix of the completely positive map read off
+    its input transpose (its Choi matrix); the state is never renormalized,
+    so dropped weight carries the outcome probabilities.  Wires crossing a
+    layer are carried through untouched, which realizes the identity
+    padding.
+
+    A pre-pass finds the largest state, and the state then moves between
+    two flat buffers of that size: each operation copies it, permuted so
+    that the consumed wires come last, into the spare buffer and multiplies
+    that by the transfer matrix back into the first.
     """
     if circuit.kind != CIRCUIT:
         raise NonCircuitTermError(f"fragment has open ports (kind={circuit.kind})")
@@ -86,47 +97,86 @@ def probability_foliated(
     if check_physical:
         _warn_nonphysical(circuit, bound, eps)
     fol = foliate(circuit, policy)
+    steps = [op_index for layer in fol.layers for op_index in layer]
 
     # Relabeling keeps leg order and matrix (see _warn_nonphysical), so one
-    # Choi tensor serves every operation with a given name.
-    chois: dict[str, np.ndarray] = {}
+    # transfer matrix serves every operation with a given name.
+    transfers: dict[str, np.ndarray] = {}
+    wire_size: dict[int, int] = {}  # wire id -> d**2, the length of its axis
+    size = peak = 1
+    for op_index in steps:
+        decl, op = circuit.ops[op_index], bound[op_index]
+        transfer = transfers.get(decl.name)
+        if transfer is None:
+            ordered = op.permuted([w.id for w in decl.inputs + decl.outputs])
+            transfer = transfers[decl.name] = _transfer_matrix(ordered)
+        for w in decl.outputs:
+            wire_size[w.id] = op.leg(w.id).dim ** 2
+        size = size // transfer.shape[0] * transfer.shape[1]
+        peak = max(peak, size)
+
+    state, spare = np.empty(peak), np.empty(peak)
+    state[0] = 1.0
     live: list[int] = []  # wire ids carried by the state, in axis order
-    state = np.array(1.0 + 0.0j)  # axes: kets of live wires, then bras
-    for layer in fol.layers:
-        for op_index in layer:
-            decl = circuit.ops[op_index]
-            in_ids = [w.id for w in decl.inputs]
-            choi = chois.get(decl.name)
-            if choi is None:
-                ordered = bound[op_index].permuted(in_ids + [w.id for w in decl.outputs])
-                choi = chois[decl.name] = input_transpose(ordered).tensor()
-            p = len(in_ids)
-            q = len(decl.outputs)
-            k = len(live)
-            # state axes: 0..k-1 kets, k..2k-1 bras
-            state_subs = list(range(2 * k))
-            choi_subs = [0] * (2 * (p + q))
-            out_new = list(range(2 * k, 2 * k + 2 * q))
-            positions = [live.index(i) for i in in_ids]
-            for a, pos in enumerate(positions):
-                choi_subs[a] = state_subs[pos]              # ket of consumed wire
-                choi_subs[p + q + a] = state_subs[k + pos]  # bra of consumed wire
-            for b in range(q):
-                choi_subs[p + b] = out_new[b]
-                choi_subs[p + q + p + b] = out_new[q + b]
-            keep = [i for i in range(k) if i not in positions]
-            out_subs = (
-                [state_subs[i] for i in keep]
-                + out_new[:q]
-                + [state_subs[k + i] for i in keep]
-                + out_new[q:]
-            )
-            state = _pair_contract(state, state_subs, choi, choi_subs, out_subs)
-            live = [live[i] for i in keep] + [w.id for w in decl.outputs]
+    for op_index in steps:
+        decl = circuit.ops[op_index]
+        transfer = transfers[decl.name]
+        consumed = [live.index(w.id) for w in decl.inputs]
+        kept = [i for i in range(len(live)) if i not in consumed]
+        shape = [wire_size[w] for w in live]
+        size = math.prod(shape)
+        np.copyto(
+            spare[:size].reshape([shape[i] for i in kept + consumed]),
+            state[:size].reshape(shape).transpose(kept + consumed),
+        )
+        n_in, n_out = transfer.shape
+        rows = size // n_in
+        out = state[: rows * n_out].reshape(rows, n_out)
+        np.matmul(spare[:size].reshape(rows, n_in), transfer, out=out)
+        live = [live[i] for i in kept] + [w.id for w in decl.outputs]
     if live:
         raise AssertionError("open wires remained after the final layer")
-    value = complex(state)
-    return float(value.real)
+    return float(state[0])
+
+
+@functools.lru_cache
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """An orthonormal basis of the ``dim x dim`` Hermitian matrices, shape (d^2, d, d).
+
+    The diagonal units ``E_jj``, then for each ``j < k`` the pair
+    ``(E_jk + E_kj)/sqrt2`` and ``i(E_jk - E_kj)/sqrt2``.  It is orthonormal
+    under ``Tr(A B)``, so a Hermitian operator is ``sum_a Tr(G_a A) G_a``
+    with real coefficients.  Cached per dimension and read-only.
+    """
+    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
+    for j in range(dim):
+        basis[j, j, j] = 1.0
+    a = dim
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            basis[a, j, k] = basis[a, k, j] = 1 / np.sqrt(2)
+            basis[a + 1, j, k], basis[a + 1, k, j] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+            a += 2
+    basis.setflags(write=False)
+    return basis
+
+
+def _transfer_matrix(op: LabeledOperator) -> np.ndarray:
+    """The real matrix of an operation's map on basis coefficients.
+
+    ``op`` lists its input legs first.  Entry ``(a, b)`` is
+    ``Tr((G_a^T (x) G_b) . Choi)``: coefficient ``b`` of the map applied to
+    the input basis element ``a``, with multi-leg indices flattened row-major
+    in leg order.  The shape is ``(prod d_in**2, prod d_out**2)``.
+    """
+    choi = input_transpose(op)
+    stacks = [
+        _hermitian_basis(leg.dim).transpose(0, 2, 1) if leg.role == INPUT
+        else _hermitian_basis(leg.dim)
+        for leg in choi.legs
+    ]
+    n_in = math.prod(leg.dim**2 for leg in choi.input_legs)
+    return _fiducial_overlaps(choi, stacks).reshape(n_in, -1)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ from optensor import (
     OperationDecl,
     WireLabel,
     fragment_from_ops,
+    parse_circuit,
     random_physical_transformation,
     random_preparation,
     random_result,
+    scalar_operator,
 )
 from optensor.notation import INPUT, OUTPUT
 
@@ -141,3 +143,52 @@ def random_brickwork(rng: np.random.Generator, width: int, depth: int):
         decls.append(OperationDecl(f"R{w.id}", (w,), ()))
         binding[f"R{w.id}"] = random_result(legs([w], INPUT), rng)
     return fragment_from_ops(decls), binding
+
+
+def with_portfree_op(frag, binding, value: float):
+    """The circuit with one port-free operation ``S`` added, bound to ``value``."""
+    ops = list(frag.ops) + [OperationDecl("S", (), ())]
+    return fragment_from_ops(ops), {**binding, "S": scalar_operator(value)}
+
+
+def reused_name_chain(rng: np.random.Generator, n_channels: int):
+    """A closed chain through two channel names used in turn.
+
+    ``W`` maps a qubit wire ``a`` to a qutrit wire ``b`` and ``V`` maps it
+    back, so every channel changes the dimension; each name is bound once.
+    """
+    dims = {"a": 2, "b": 3}
+    systems = ["ab"[k % 2] for k in range(n_channels + 1)]
+    text = ["P^{a1}"]
+    for k in range(1, n_channels + 1):
+        name = "WV"[(k - 1) % 2]
+        text.append(f"{name}_{{{systems[k - 1]}{k}}}^{{{systems[k]}{k + 1}}}")
+    text.append(f"R_{{{systems[-1]}{n_channels + 1}}}")
+    binding = {
+        "P": random_preparation([Leg("a", 1, OUTPUT, 2)], rng),
+        "W": random_physical_transformation(
+            [Leg("a", 1, INPUT, 2)], [Leg("b", 2, OUTPUT, 3)], rng
+        ),
+        "V": random_physical_transformation(
+            [Leg("b", 1, INPUT, 3)], [Leg("a", 2, OUTPUT, 2)], rng
+        ),
+        "R": random_result([Leg(systems[-1], 1, INPUT, dims[systems[-1]])], rng),
+    }
+    return parse_circuit(" ".join(text)), binding
+
+
+def mixed_circuits(rng: np.random.Generator):
+    """Closed circuits with bindings that mix qubits and qutrits, channels
+    that change a wire's dimension, port-free operations and operation
+    names used more than once."""
+    cases = []
+    for _ in range(20):
+        frag, binding = random_circuit(rng, max_ops=int(rng.integers(2, 12)))
+        if rng.integers(2):
+            frag, binding = with_portfree_op(frag, binding, float(rng.uniform(0.2, 1.0)))
+        cases.append((frag, binding))
+    for n_channels in (1, 2, 5):
+        cases.append(reused_name_chain(rng, n_channels))
+    cases.append(with_portfree_op(*reused_name_chain(rng, 4), 0.5))
+    cases.append(random_brickwork(rng, width=4, depth=5))
+    return cases

@@ -5,16 +5,18 @@ Kraus evolution of the density matrix computed entirely outside the
 contraction machinery.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
 import pytest
-from conftest import random_brickwork, random_circuit
+from conftest import mixed_circuits, random_brickwork, random_circuit, random_open_fragment
 
 import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
 from optensor.binding import resolve_binding
 from optensor.contraction import ContractionPlan, PlanStep, _pair_contract
+from optensor.errors import DimMismatchError, LabelArityError
 from optensor.notation import INPUT, OUTPUT
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -385,3 +387,140 @@ class TestPairKernel:
         yt = y[:, :, ::-1].transpose(1, 2, 0)
         assert not xt.flags.c_contiguous and not yt.flags.c_contiguous
         assert_kernel_matches_einsum(xt, [2, 0, 3, 1], yt, [1, 4, 3], out)
+
+
+# ---------------------------------------------------------------------------
+# Plan execution on raw tensors against the per-step-operator executor it
+# replaced.  Both references are kept verbatim apart from their names and
+# docstrings, and the lazy import of ``scalar_operator``.
+
+
+def _reference_contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
+    """Contract all wire ids shared by two operators (tensor product if none).
+
+    Each shared wire pairs the producer's ket with the consumer's bra and
+    vice versa, i.e. the operators are multiplied in the shared subsystem
+    which is then traced out.  Surviving legs are ``a``'s followed by ``b``'s.
+    """
+    b_index = {leg.id: j for j, leg in enumerate(b.legs)}
+    shared = [(i, b_index[leg.id]) for i, leg in enumerate(a.legs) if leg.id in b_index]
+    for i, j in shared:
+        la, lb = a.legs[i], b.legs[j]
+        if la.role == lb.role:
+            raise LabelArityError(f"wire id {la.id} appears twice as {la.role}")
+        if la.sys != lb.sys or la.dim != lb.dim:
+            raise DimMismatchError(
+                f"wire id {la.id} joins {la.sys}(dim {la.dim}) to {lb.sys}(dim {lb.dim})"
+            )
+    ka, kb = len(a.legs), len(b.legs)
+    sub_a = list(range(2 * ka))  # leg i: ket i, bra ka+i
+    sub_b = list(range(2 * ka, 2 * (ka + kb)))  # leg j: ket 2ka+j, bra 2ka+kb+j
+    for i, j in shared:
+        sub_b[j] = sub_a[ka + i]  # consumer/producer ket takes partner bra
+        sub_b[kb + j] = sub_a[i]  # and bra takes partner ket
+    shared_a = {i for i, _ in shared}
+    shared_b = {j for _, j in shared}
+    open_a = [i for i in range(ka) if i not in shared_a]
+    open_b = [j for j in range(kb) if j not in shared_b]
+    out = (
+        [sub_a[i] for i in open_a]
+        + [sub_b[j] for j in open_b]
+        + [sub_a[ka + i] for i in open_a]
+        + [sub_b[kb + j] for j in open_b]
+    )
+    raw = _pair_contract(a.tensor(), sub_a, b.tensor(), sub_b, out)
+    legs = tuple(a.legs[i] for i in open_a) + tuple(b.legs[j] for j in open_b)
+    dim = math.prod(leg.dim for leg in legs)
+    return LabeledOperator(legs, raw.reshape(dim, dim), min(a.tol, b.tol))
+
+
+def _reference_execute_plan(
+    ops: Sequence[LabeledOperator], plan: ContractionPlan
+) -> LabeledOperator:
+    """Execution with an operator, checked and symmetrized, at every step."""
+    operands: dict[int, LabeledOperator] = dict(enumerate(ops))
+    for step in plan.steps:
+        left = operands.pop(step.left)
+        right = operands.pop(step.right)
+        operands[step.result_index] = _reference_contract_pair(left, right)
+    if not operands:
+        return ot.scalar_operator(1.0)
+    if len(operands) != 1:
+        raise ValueError("plan did not reduce to a single operand")
+    (result,) = operands.values()
+    open_ids = set(result.ids)
+    open_order = [leg.id for op in ops for leg in op.legs if leg.id in open_ids]
+    return result.permuted(open_order)
+
+
+def executor_cases(rng):
+    """Operand lists of closed circuits and of open fragments."""
+    cases = [resolve_binding(frag, binding) for frag, binding in mixed_circuits(rng)]
+    cases.extend(resolve_binding(*random_open_fragment(rng)) for _ in range(10))
+    return cases
+
+
+def assert_same_operator(got: LabeledOperator, want: LabeledOperator, atol: float):
+    assert got.legs == want.legs
+    assert got.tol == want.tol
+    assert np.max(np.abs(got.matrix - want.matrix)) <= atol
+
+
+class TestRawExecutor:
+    def test_matches_per_step_reference(self, rng):
+        for ops in executor_cases(rng):
+            for planner in (ot.plan_contraction, ot.plan_left_to_right):
+                plan = planner(ops)
+                got = ot.execute_plan(ops, plan)
+                assert_same_operator(got, _reference_execute_plan(ops, plan), 1e-12)
+
+    def test_contract_pair_matches_reference(self, rng):
+        for ops in executor_cases(rng):
+            for a, b in zip(ops, ops[1:]):
+                if set(a.ids) & set(b.ids) or rng.integers(4) == 0:
+                    want = _reference_contract_pair(a, b)
+                    assert_same_operator(ot.contract_pair(a, b), want, 1e-12)
+
+    def test_result_takes_the_smallest_tol(self, rng):
+        rho = ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng)
+        meas = LabeledOperator(
+            (Leg("a", 1, INPUT, 2),), ot.random_result([Leg("a", 1, INPUT, 2)], rng).matrix, 1e-6
+        )
+        assert ot.circuit_trace([rho, meas]).tol == 1e-10
+        assert ot.circuit_trace([meas]).tol == 1e-6
+
+    def test_non_hermitian_final_result_raises(self, rng):
+        # operands built past the constructor check, as a numeric fault would
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        legs = (Leg("a", 1, OUTPUT, 2), Leg("a", 2, OUTPUT, 2))
+        faulty = LabeledOperator._from_valid(legs, z, 1e-10)
+        with pytest.raises(ot.NonHermitianError, match=r"max \|M - M\^dag\|"):
+            ot.circuit_trace([faulty, result(1, np.eye(2))])
+        phase = LabeledOperator._from_valid((Leg("a", 1, OUTPUT, 2),), 1j * np.eye(2), 1e-10)
+        with pytest.raises(ot.NonHermitianError):
+            ot.circuit_trace([phase, result(1, np.eye(2))])
+
+    @pytest.mark.parametrize(
+        "a, b, error, message",
+        [
+            (prep(1, P0), prep(1, P0), LabelArityError, "wire id 1 appears twice as output"),
+            (result(1, P0), result(1, P0), LabelArityError, "wire id 1 appears twice as input"),
+            (
+                prep(1, np.eye(2) / 2),
+                result(1, np.eye(3) / 3),
+                DimMismatchError,
+                "wire id 1 joins a(dim 2) to a(dim 3)",
+            ),
+            (
+                prep(1, P0),
+                result(1, P0, sys="b"),
+                DimMismatchError,
+                "wire id 1 joins a(dim 2) to b(dim 2)",
+            ),
+        ],
+    )
+    def test_contract_pair_wiring_errors_unchanged(self, a, b, error, message):
+        for contract in (ot.contract_pair, _reference_contract_pair):
+            with pytest.raises(error) as caught:
+                contract(a, b)
+            assert str(caught.value) == message

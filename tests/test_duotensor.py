@@ -10,6 +10,7 @@ from optensor import Leg, SystemType, WireLabel
 from optensor.duotensor import (
     BLACK,
     WHITE,
+    _fiducial_overlaps,
     _fiducial_stack,
     _solve_gram,
     compute_hopping_metric,
@@ -285,3 +286,21 @@ class TestSerialization:
 def test_shape_mismatch():
     with pytest.raises(ot.ShapeMismatchError):
         ot.Duotensor((ot.DuoIndex("a", 1, INPUT, 2, WHITE),), np.zeros(5))
+
+
+class TestFiducialOverlaps:
+    def test_real_overlaps_of_hermitian_operands(self, rng, qubit_fiducials):
+        op = ot.random_preparation([Leg("a", 1, OUTPUT, 2), Leg("a", 2, OUTPUT, 2)], rng)
+        stacks = [_fiducial_stack({"a": qubit_fiducials}, leg) for leg in op.legs]
+        overlaps = _fiducial_overlaps(op, stacks)
+        assert overlaps.dtype == np.float64
+        want = np.einsum("iab,jcd,bdac->ij", *stacks, op.tensor()).real
+        np.testing.assert_allclose(overlaps, want, atol=1e-15)
+
+    def test_imaginary_residue_raises(self, rng, qubit_fiducials):
+        op = ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng)
+        stack = _fiducial_stack({"a": qubit_fiducials}, op.legs[0])
+        residue = float(np.max(_fiducial_overlaps(op, [stack])))
+        message = f"imaginary residue {residue:.3e} beyond tol=1.0e-10"
+        with pytest.raises(ot.NonHermitianError, match=re.escape(message)):
+            _fiducial_overlaps(op, [1j * stack])

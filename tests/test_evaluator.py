@@ -3,11 +3,18 @@ and the formalism-locality proportionality test."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
-from optensor.notation import INPUT, OUTPUT
-from conftest import random_brickwork, random_circuit, random_open_fragment
+from optensor.binding import Binding, resolve_binding
+from optensor.contraction import _pair_contract
+from optensor.errors import NonCircuitTermError
+from optensor.evaluator import _hermitian_basis, _transfer_matrix, _warn_nonphysical
+from optensor.notation import CIRCUIT, INPUT, OUTPUT, CircuitFragment, foliate
+from optensor.physicality import input_transpose
+from conftest import mixed_circuits, random_brickwork, random_circuit, random_open_fragment
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -407,3 +414,127 @@ def test_ten_qubit_brickwork_routes_agree(rng):
     assert 0.0 < direct < 1.0
     assert abs(direct - layered) <= 1e-10
     assert abs(direct - layered) <= 1e-8 * direct
+
+
+# ---------------------------------------------------------------------------
+# The real-coefficient foliated route against the complex one it replaced.
+# The reference is kept verbatim apart from its name and docstring.
+
+
+def _reference_foliated(
+    circuit: CircuitFragment,
+    binding: Binding,
+    policy: str = "earliest",
+    eps: float = 1e-9,
+    check_physical: bool = True,
+) -> float:
+    """The complex foliated route: the state holds ket and bra axes per
+    live wire and each operation contracts its Choi tensor into it."""
+    if circuit.kind != CIRCUIT:
+        raise NonCircuitTermError(f"fragment has open ports (kind={circuit.kind})")
+    bound = resolve_binding(circuit, binding)
+    if check_physical:
+        _warn_nonphysical(circuit, bound, eps)
+    fol = foliate(circuit, policy)
+
+    # Relabeling keeps leg order and matrix (see _warn_nonphysical), so one
+    # Choi tensor serves every operation with a given name.
+    chois: dict[str, np.ndarray] = {}
+    live: list[int] = []  # wire ids carried by the state, in axis order
+    state = np.array(1.0 + 0.0j)  # axes: kets of live wires, then bras
+    for layer in fol.layers:
+        for op_index in layer:
+            decl = circuit.ops[op_index]
+            in_ids = [w.id for w in decl.inputs]
+            choi = chois.get(decl.name)
+            if choi is None:
+                ordered = bound[op_index].permuted(in_ids + [w.id for w in decl.outputs])
+                choi = chois[decl.name] = input_transpose(ordered).tensor()
+            p = len(in_ids)
+            q = len(decl.outputs)
+            k = len(live)
+            # state axes: 0..k-1 kets, k..2k-1 bras
+            state_subs = list(range(2 * k))
+            choi_subs = [0] * (2 * (p + q))
+            out_new = list(range(2 * k, 2 * k + 2 * q))
+            positions = [live.index(i) for i in in_ids]
+            for a, pos in enumerate(positions):
+                choi_subs[a] = state_subs[pos]              # ket of consumed wire
+                choi_subs[p + q + a] = state_subs[k + pos]  # bra of consumed wire
+            for b in range(q):
+                choi_subs[p + b] = out_new[b]
+                choi_subs[p + q + p + b] = out_new[q + b]
+            keep = [i for i in range(k) if i not in positions]
+            out_subs = (
+                [state_subs[i] for i in keep]
+                + out_new[:q]
+                + [state_subs[k + i] for i in keep]
+                + out_new[q:]
+            )
+            state = _pair_contract(state, state_subs, choi, choi_subs, out_subs)
+            live = [live[i] for i in keep] + [w.id for w in decl.outputs]
+    if live:
+        raise AssertionError("open wires remained after the final layer")
+    value = complex(state)
+    return float(value.real)
+
+
+class TestRealFoliatedRoute:
+    def test_matches_complex_reference(self, rng):
+        for frag, binding in mixed_circuits(rng):
+            for policy in ("earliest", "latest"):
+                got = ot.probability_foliated(frag, binding, policy, check_physical=False)
+                want = _reference_foliated(frag, binding, policy, check_physical=False)
+                assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_basis_is_hermitian_orthonormal_and_spanning(self, dim):
+        basis = _hermitian_basis(dim)
+        assert basis.shape == (dim * dim, dim, dim)
+        assert not basis.flags.writeable
+        assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
+        gram = np.einsum("aij,bji->ab", basis, basis)
+        np.testing.assert_allclose(gram, np.eye(dim * dim), atol=1e-15)
+        # orthonormal d^2 elements of a d^2-dimensional real space span it
+        flat = basis.reshape(dim * dim, -1)
+        real_rank = np.linalg.matrix_rank(np.concatenate([flat.real, flat.imag], axis=1))
+        assert real_rank == dim * dim
+        assert _hermitian_basis(dim) is basis
+
+    def test_identity_channel_transfers_identity(self):
+        for dim in (2, 3):
+            wire = ot.identity_transformation(WireLabel("a", 1), WireLabel("a", 2), dim)
+            transfer = _transfer_matrix(wire)
+            assert transfer.dtype == np.float64
+            np.testing.assert_allclose(transfer, np.eye(dim * dim), atol=1e-15)
+
+    def test_transfer_matrix_evolves_coefficients(self, rng):
+        rho = ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng)
+        chan = ot.random_physical_transformation(
+            [Leg("a", 1, INPUT, 2)], [Leg("b", 2, OUTPUT, 3)], rng
+        )
+        evolved = ot.circuit_trace([rho, chan]).matrix
+        coefficients = np.einsum("aij,ji->a", _hermitian_basis(2), rho.matrix).real
+        want = np.einsum("aij,ji->a", _hermitian_basis(3), evolved).real
+        np.testing.assert_allclose(coefficients @ _transfer_matrix(chan), want, atol=1e-14)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), max_ops=st.integers(2, 12))
+def test_routes_agree_on_random_circuits(seed, max_ops):
+    frag, binding = random_circuit(np.random.default_rng(seed), max_ops=max_ops)
+    assert_routes_agree(frag, binding)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 5), depth=st.integers(0, 6))
+def test_routes_agree_on_random_brickworks(seed, width, depth):
+    frag, binding = random_brickwork(np.random.default_rng(seed), width=width, depth=depth)
+    assert_routes_agree(frag, binding)
+
+
+def assert_routes_agree(frag, binding):
+    direct = ot.probability(frag, binding, check_physical=False)
+    layered = ot.probability_foliated(frag, binding, check_physical=False)
+    assert abs(direct - layered) <= 1e-10
+    assert abs(direct - layered) <= 1e-8 * abs(direct)

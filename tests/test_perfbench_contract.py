@@ -1,9 +1,11 @@
-"""The library API that the benchmark's circuit workloads rely on.
+"""The library API that the benchmark relies on.
 
 ``perfbench/workloads.py`` checks every item through ``len(causal.pairs)``,
-``open_pairs()`` and both evaluation routes.  Running a few of its items here
-makes an API break fail the test suite instead of every benchmark item.
-The benchmark files are imported as they are, never modified.
+``open_pairs()`` and both evaluation routes, and ``perfbench/tracing.py``
+rebinds the library functions named in its ``LAYERS`` table.  Running a few
+items and resolving every traced name here makes an API break fail the test
+suite instead of every benchmark item or the traced run.  The benchmark
+files are imported as they are, never modified.
 """
 
 import importlib
@@ -28,3 +30,16 @@ def test_circuit_workload_items_pass_their_checks(perfbench):
         workload = workloads.CircuitWorkload(31, make_circuit)
         circ = workload.generate(index)
         assert workload.check(circ, workload.run(circ)) == []
+
+
+def test_every_traced_layer_resolves(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    targets = [target for pairs in tracing.LAYERS.values() for target in pairs]
+    assert targets
+    for module_name, attr in targets:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+            assert owner is not None, f"{module_name}.{attr} does not resolve"
+        assert callable(owner), f"{module_name}.{attr} is not callable"
