@@ -110,7 +110,6 @@ from .operators import (
     random_unitary,
     save,
     scalar_operator,
-    tensor_product,
     to_json_dict,
     unitary_channel,
 )
@@ -124,7 +123,6 @@ from .physicality import (
     is_complete_set,
     is_physical,
     output_trace,
-    output_transpose,
     sandwich_check,
     transform,
     witness_nonphysical,

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import DimMismatchError, SignatureMismatchError, UnboundOperationError
-from .notation import CircuitFragment, OperationDecl, SystemType
+from .errors import SignatureMismatchError, UnboundOperationError
+from .notation import CircuitFragment, OperationDecl
 from .operators import LabeledOperator
 
 Binding = Mapping[str, LabeledOperator]
@@ -34,25 +34,11 @@ def relabel_to_decl(op: LabeledOperator, decl: OperationDecl) -> LabeledOperator
     return op.relabeled(mapping)
 
 
-def resolve_binding(
-    frag: CircuitFragment,
-    binding: Binding,
-    registry: Mapping[str, SystemType] | None = None,
-) -> list[LabeledOperator]:
+def resolve_binding(frag: CircuitFragment, binding: Binding) -> list[LabeledOperator]:
     """Return one relabeled operator per operation, in declaration order."""
     bound: list[LabeledOperator] = []
     for decl in frag.ops:
         if decl.name not in binding:
             raise UnboundOperationError(f"no operator bound to {decl.name!r}")
-        op = relabel_to_decl(binding[decl.name], decl)
-        if registry is not None:
-            for leg in op.legs:
-                if leg.sys not in registry:
-                    raise DimMismatchError(f"{decl.name}: unknown system type {leg.sys!r}")
-                if registry[leg.sys].dim != leg.dim:
-                    raise DimMismatchError(
-                        f"{decl.name}: leg {leg.sys}{leg.id} has dim {leg.dim}, "
-                        f"registry says {registry[leg.sys].dim}"
-                    )
-        bound.append(op)
+        bound.append(relabel_to_decl(binding[decl.name], decl))
     return bound

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation failure, 3 physicality required but
-absent, 64 usage error, 65 malformed data, 66 missing input file.
+absent, 64 usage error (including a negative ``--shots``), 65 malformed
+data, 66 an input or output file that cannot be opened.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ from . import duotensor as duo
 from . import evaluator, notation, operators, tomography
 from .contraction import plan_contraction
 from .binding import resolve_binding
-from .errors import (
-    CircuitSyntaxError,
-    PhysicalityWarning,
-    WiringError,
-)
+from .errors import CircuitSyntaxError, PhysicalityWarning, WiringError
 from .physicality import is_physical, witness_nonphysical
 
 EX_OK = 0
@@ -40,21 +37,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+def _shot_count(text: str) -> int:
+    """``--shots``: a non-negative integer, 0 meaning exact probabilities."""
+    try:
+        shots = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if shots < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {shots}")
+    return shots
+
+
 def _read_text(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        print(f"missing file: {path}", file=sys.stderr)
-        raise SystemExit(EX_NOINPUT)
-    return p.read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8")
+
+
+def _parse_file(path: str, kind: str, parse):
+    """``parse`` the text of ``path``, naming the file if the text is malformed."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except Exception as exc:
+        raise ValueError(f"bad {kind} file {path}: {exc}") from exc
 
 
 def _load_operator(path: str) -> operators.LabeledOperator:
-    text = _read_text(path)
-    try:
-        return operators.loads(text)
-    except Exception as exc:
-        print(f"bad operator file {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EX_DATA)
+    return _parse_file(path, "operator", operators.loads)
 
 
 def _load_circuit(path: str) -> notation.CircuitFragment:
@@ -69,8 +77,7 @@ def _load_binding(path: str) -> dict[str, operators.LabeledOperator]:
         if not line:
             continue
         if "=" not in line:
-            print(f"bad binding line {lineno}: {raw!r}", file=sys.stderr)
-            raise SystemExit(EX_DATA)
+            raise ValueError(f"bad binding file {path} line {lineno}: {raw!r}")
         name, ref = (part.strip() for part in line.split("=", 1))
         ref_path = Path(ref)
         if not ref_path.is_absolute():
@@ -96,8 +103,7 @@ def cmd_validate(args) -> int:
         registry = notation.parse_registry(_read_text(args.types))
         unknown = {lab.sys for lab in notation.iter_labels(frag)} - set(registry)
         if unknown:
-            print(f"unknown system types: {sorted(unknown)}", file=sys.stderr)
-            return EX_VALIDATION
+            raise WiringError(f"unknown system types: {sorted(unknown)}")
     _emit(
         {
             "ok": True,
@@ -115,7 +121,6 @@ def cmd_eval(args) -> int:
     frag = _load_circuit(args.circuit)
     binding = _load_binding(args.bindings)
     report: dict = {}
-    warned: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", PhysicalityWarning)
         if args.explain:
@@ -123,17 +128,14 @@ def cmd_eval(args) -> int:
             report["plan"] = plan.dump().splitlines()
             report["peak_dim"] = plan.peak_dim
         if args.method in ("tensor", "both"):
-            report["probability_tensor"] = f"{evaluator.probability(frag, binding, eps=args.eps):.12f}"
+            tensor = evaluator.probability(frag, binding, eps=args.eps)
+            report["probability_tensor"] = f"{tensor:.12f}"
         if args.method in ("foliation", "both"):
-            report["probability_foliation"] = (
-                f"{evaluator.probability_foliated(frag, binding, eps=args.eps):.12f}"
-            )
+            foliation = evaluator.probability_foliated(frag, binding, eps=args.eps)
+            report["probability_foliation"] = f"{foliation:.12f}"
         warned = [str(w.message) for w in caught if issubclass(w.category, PhysicalityWarning)]
     if args.method == "both":
-        diff = abs(
-            float(report["probability_tensor"]) - float(report["probability_foliation"])
-        )
-        report["difference"] = f"{diff:.3e}"
+        report["difference"] = f"{abs(tensor - foliation):.3e}"
     for message in dict.fromkeys(warned):
         print(f"warning: {message}", file=sys.stderr)
     _emit(report, args.format)
@@ -183,13 +185,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    try:
-        dt = duo.duotensor_from_json_dict(json.loads(_read_text(args.duotensor)))
-    except SystemExit:
-        raise
-    except Exception as exc:
-        print(f"bad duotensor file: {exc}", file=sys.stderr)
-        return EX_DATA
+    dt = _parse_file(
+        args.duotensor, "duotensor", lambda text: duo.duotensor_from_json_dict(json.loads(text))
+    )
     legs = tuple(
         operators.Leg(ix.sys, ix.id, ix.role, ix.dim) for ix in dt.indices
     )
@@ -298,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tomography", help="reconstruct an operator by probing it")
     p.add_argument("operator", help="hidden operator file (also the reference)")
-    p.add_argument("--shots", type=int, default=0, help="0 = exact probabilities")
+    p.add_argument("--shots", type=_shot_count, default=0, help="0 = exact probabilities")
     p.add_argument("--seed", type=int, default=0, help="shot-noise seed")
     p.add_argument("--output")
     common(p)
@@ -327,18 +325,19 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    # the one place circuit validation failures become exit code 2
-    except CircuitSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return EX_VALIDATION
-    except WiringError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EX_VALIDATION
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATA
+    except Exception as exc:
+        # the one place a failure becomes an exit code; subclasses before bases
+        for types, code, describe in (
+            (CircuitSyntaxError, EX_VALIDATION, lambda e: f"syntax error: {e}"),
+            (WiringError, EX_VALIDATION, lambda e: f"{type(e).__name__}: {e}"),
+            (FileNotFoundError, EX_NOINPUT, lambda e: f"missing file: {e.filename}"),
+            (OSError, EX_NOINPUT, lambda e: f"cannot open {e.filename}: {e.strerror}"),
+            ((ValueError, KeyError), EX_DATA, lambda e: f"error: {e}"),
+        ):
+            if isinstance(exc, types):
+                print(describe(exc), file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

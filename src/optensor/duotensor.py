@@ -337,18 +337,17 @@ def wire_decomposition_check(
     """Check that the inverse-metric pairing of fiducials rebuilds the wire.
 
     The identity transformation must equal
-    ``sum_jk G^-1[j][k] (result_j on the input) x (prep_k on the output)``.
+    ``sum_jk G^-1[j][k] (result_j on the input) x (prep_k on the output)``,
+    the reconstruction of the all-white duotensor whose data is ``G^-1``.
     """
     fset = fset if fset is not None else default_fiducials(sys_type)
-    n = sys_type.dim
-    results = np.stack([op.matrix for op in fset.results])
-    preps = np.stack([op.matrix for op in fset.preps])
-    # kron(result_j, prep_k)[(a, c), (b, d)] = result_j[a, b] prep_k[c, d]
-    built = np.einsum("jk,jab,kcd->acbd", fset.metric_inv, results, preps)
-    built = built.reshape(n * n, n * n)
-    expected = identity_transformation(
-        WireLabel(sys_type.name, 1), WireLabel(sys_type.name, 2), n
-    ).matrix
+    name, n = sys_type.name, sys_type.dim
+    wire = Duotensor(
+        (DuoIndex(name, 1, INPUT, n, WHITE), DuoIndex(name, 2, OUTPUT, n, WHITE)),
+        fset.metric_inv,
+    )
+    built = reconstruct(wire, {name: fset}).matrix
+    expected = identity_transformation(WireLabel(name, 1), WireLabel(name, 2), n).matrix
     return bool(np.max(np.abs(built - expected)) <= tol)
 
 
@@ -412,9 +411,7 @@ def load_fiducials(directory) -> FiducialSet:
     return fset
 
 
-def default_fiducials_for(
-    legs_or_ops, registry: Mapping[str, SystemType] | None = None
-) -> dict[str, FiducialSet]:
+def default_fiducials_for(legs_or_ops) -> dict[str, FiducialSet]:
     """Default fiducial sets for every system type appearing on the given legs."""
     legs = getattr(legs_or_ops, "legs", legs_or_ops)
     fsets: dict[str, FiducialSet] = {}
@@ -426,6 +423,5 @@ def default_fiducials_for(
                     f"{fsets[leg.sys].sys_type.dim} and {leg.dim}"
                 )
             continue
-        sys_type = registry[leg.sys] if registry else SystemType(leg.sys, leg.dim)
-        fsets[leg.sys] = default_fiducials(sys_type)
+        fsets[leg.sys] = default_fiducials(SystemType(leg.sys, leg.dim))
     return fsets

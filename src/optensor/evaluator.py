@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binding import Binding, resolve_binding
-from .contraction import circuit_trace
+from .contraction import _wire_ends, circuit_trace
 from .duotensor import _fiducial_overlaps
 from .errors import (
     NonCircuitTermError,
@@ -96,6 +96,7 @@ def probability_foliated(
     bound = resolve_binding(circuit, binding)
     if check_physical:
         _warn_nonphysical(circuit, bound, eps)
+    _wire_ends(bound)  # the transfer matrices assume each wire's ends agree
     fol = foliate(circuit, policy)
     steps = [op_index for layer in fol.layers for op_index in layer]
 

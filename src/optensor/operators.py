@@ -197,13 +197,6 @@ def _resolve_ids(op: LabeledOperator, over: Iterable[WireLabel | Leg | int]) -> 
 # Core operations
 
 
-def tensor_product(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
-    """Kronecker product with legs concatenated a-then-b."""
-    if set(a.ids) & set(b.ids):
-        raise DuplicateLabelError(f"operators share wire ids {set(a.ids) & set(b.ids)}")
-    return LabeledOperator(a.legs + b.legs, np.kron(a.matrix, b.matrix), min(a.tol, b.tol))
-
-
 def partial_trace(op: LabeledOperator, over: Iterable[WireLabel | Leg | int]) -> LabeledOperator:
     """Trace out the given legs; remaining legs keep their order."""
     ids = set(_resolve_ids(op, over))

@@ -50,10 +50,6 @@ def input_transpose(op: LabeledOperator) -> LabeledOperator:
     return partial_transpose(op, [leg.id for leg in op.input_legs])
 
 
-def output_transpose(op: LabeledOperator) -> LabeledOperator:
-    return partial_transpose(op, [leg.id for leg in op.output_legs])
-
-
 def output_trace(op: LabeledOperator) -> LabeledOperator:
     """Partial trace over every output leg; an operator on the inputs."""
     return partial_trace(op, [leg.id for leg in op.output_legs])

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report fields, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,3 +309,100 @@ class TestUsageAndData:
         bad.write_text("{not json")
         code, _, err = run(capsys, "physical", str(bad))
         assert code == 65
+
+    def test_negative_shots_exit_64(self, workspace, capsys):
+        code, out, err = run(capsys, "tomography", str(workspace / "prep.json"), "--shots", "-5")
+        assert (code, out) == (64, "")
+        assert "--shots" in err and "-5" in err
+
+
+# Every file argument of every command: (argv with TARGET in the slot under
+# test, kind of file), run from inside the workspace.  Circuit text that does
+# not parse is a validation failure (exit 2), tested above.
+TARGET = "<target>"
+FILE_ARGUMENTS = [
+    (("validate", TARGET), "circuit"),
+    (("validate", "pair.circ", "--types", TARGET), "registry"),
+    (("eval", TARGET, "binding.txt"), "circuit"),
+    (("eval", "pair.circ", TARGET), "binding"),
+    (("physical", TARGET), "operator"),
+    (("decompose", TARGET), "operator"),
+    (("reconstruct", TARGET), "duotensor"),
+    (("tomography", TARGET), "operator"),
+    (("locality", TARGET, "pair.circ", "binding.txt"), "circuit"),
+    (("locality", "pair.circ", TARGET, "binding.txt"), "circuit"),
+    (("locality", "pair.circ", "pair.circ", TARGET), "binding"),
+    (("foliate", TARGET), "circuit"),
+]
+MALFORMED = {
+    "registry": "a two\n",
+    "binding": "P prep.json\n",
+    "operator": "{not json",
+    "duotensor": '{"indices": []}',
+}
+
+
+def run_on(capsys, argv, target):
+    return run(capsys, *(target if arg == TARGET else arg for arg in argv))
+
+
+def assert_one_line_failure(result, code):
+    got_code, out, err = result
+    assert (got_code, out) == (code, "")
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+
+
+class TestFileErrors:
+    """A file that cannot be read or written ends in one stderr line, never a traceback."""
+
+    @pytest.fixture(autouse=True)
+    def inside(self, workspace, monkeypatch):
+        monkeypatch.chdir(workspace)
+        ot.save(ot.identity_preparation(WireLabel("a", 1), 2), workspace / "bent.json")
+        prep = ot.load(workspace / "prep.json")
+        duo = ot.decompose(prep, ot.default_fiducials_for(prep))
+        (workspace / "prep.duo.json").write_text(
+            json.dumps(ot.duotensor.duotensor_to_json_dict(duo))
+        )
+        (workspace / "folder").mkdir()
+
+    @pytest.mark.parametrize("argv, kind", FILE_ARGUMENTS)
+    def test_missing_input_exit_66(self, capsys, argv, kind):
+        result = run_on(capsys, argv, "absent.json")
+        assert_one_line_failure(result, 66)
+        assert result[2] == "missing file: absent.json\n"
+
+    @pytest.mark.parametrize("argv, kind", FILE_ARGUMENTS)
+    def test_directory_input_exit_66(self, capsys, argv, kind):
+        result = run_on(capsys, argv, "folder")
+        assert_one_line_failure(result, 66)
+        assert result[2] == "cannot open folder: Is a directory\n"
+
+    @pytest.mark.parametrize(
+        "argv, kind", [(argv, kind) for argv, kind in FILE_ARGUMENTS if kind in MALFORMED]
+    )
+    def test_malformed_input_exit_65(self, capsys, argv, kind):
+        Path("bad.txt").write_text(MALFORMED[kind])
+        assert_one_line_failure(run_on(capsys, argv, "bad.txt"), 65)
+
+    def test_malformed_operator_in_binding_exit_65(self, capsys):
+        Path("prep.json").write_text("{not json")
+        result = run(capsys, "eval", "pair.circ", "binding.txt")
+        assert_one_line_failure(result, 65)
+        assert "prep.json" in result[2]
+
+    @pytest.mark.parametrize(
+        "argv, output",
+        [
+            (("decompose", "prep.json"), "absent/out.json"),
+            (("decompose", "prep.json"), "folder"),
+            (("reconstruct", "prep.duo.json"), "absent/out.json"),
+            (("reconstruct", "prep.duo.json"), "folder"),
+            (("tomography", "prep.json"), "absent/out.json"),
+            (("tomography", "prep.json"), "folder"),
+            # physical writes into a directory it creates; a file blocks it
+            (("physical", "bent.json", "--witness"), "pair.circ"),
+        ],
+    )
+    def test_unwritable_output_exit_66(self, capsys, argv, output):
+        assert_one_line_failure(run(capsys, *argv, "--output", output), 66)

@@ -65,24 +65,31 @@ def test_fragment_expression_with_matching_signatures(rng):
 
 
 def test_mixed_dimension_wire_rejected(rng):
-    frag = ot.parse_circuit("P^{a1} R_{a1}")
-    binding = {
-        "P": ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng),
-        "R": ot.random_result([Leg("a", 1, INPUT, 3)], rng),
-    }
-    with pytest.raises(ot.DimMismatchError):
-        ot.probability(frag, binding, check_physical=False)
-
-
-def test_registry_dim_check(rng):
-    frag = ot.parse_circuit("P^{a1} R_{a1}")
-    binding = {
-        "P": ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng),
-        "R": ot.random_result([Leg("a", 1, INPUT, 2)], rng),
-    }
-    registry = ot.parse_registry("a 3\n")
-    with pytest.raises(ot.DimMismatchError):
-        ot.resolve_binding(frag, binding, registry)
+    cases = [
+        (
+            "P^{a1} R_{a1}",
+            {
+                "P": ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng),
+                "R": ot.random_result([Leg("a", 1, INPUT, 3)], rng),
+            },
+            "wire id 1 joins a(dim 2) to a(dim 3)",
+        ),
+        (  # 2 + 2 -> 4 + 1: the total dimensions agree, the wires do not
+            "P^{a1 a2} E_{a1} F_{a2}",
+            {
+                "P": ot.random_preparation([Leg("a", 1, OUTPUT, 2), Leg("a", 2, OUTPUT, 2)], rng),
+                "E": ot.random_result([Leg("a", 1, INPUT, 4)], rng),
+                "F": ot.random_result([Leg("a", 1, INPUT, 1)], rng),
+            },
+            "wire id 1 joins a(dim 2) to a(dim 4)",
+        ),
+    ]
+    for text, binding, message in cases:
+        frag = ot.parse_circuit(text)
+        for route in (ot.probability, ot.probability_foliated):
+            with pytest.raises(ot.DimMismatchError) as caught:
+                route(frag, binding, check_physical=False)
+            assert str(caught.value) == message
 
 
 def test_canonicalize_is_idempotent_on_adversarial_names():

@@ -77,7 +77,7 @@ class TestRearrangement:
         ops = [
             ot.random_physical_transformation(in_legs, out_legs, rng),
             ot.random_physical_transformation(in_legs[:1], out_legs, rng, trace_preserving=True),
-            ot.tensor_product(
+            ot.contract_pair(
                 ot.identity_transformation(WireLabel("b", 2), WireLabel("b", 3), 3),
                 ot.random_preparation([Leg("a", 4, OUTPUT, 2)], rng),
             ),
@@ -96,20 +96,20 @@ class TestTensorProduct:
     def test_identity_times_identity(self):
         a = op_out("a", 1, np.eye(2))
         b = op_out("b", 2, np.eye(3))
-        prod = ot.tensor_product(a, b)
+        prod = ot.contract_pair(a, b)
         assert np.array_equal(prod.matrix, np.eye(6))
         assert prod.ids == (1, 2)
 
     def test_basis_projectors(self):
-        prod = ot.tensor_product(op_out("a", 1, P0), op_out("b", 2, P1))
+        prod = ot.contract_pair(op_out("a", 1, P0), op_out("b", 2, P1))
         assert np.array_equal(np.diag(prod.matrix).real, [0, 1, 0, 0])
 
     def test_commutes_up_to_permutation(self, rng):
         for _ in range(10):
             a = ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng)
             b = ot.random_preparation([Leg("b", 2, OUTPUT, 3)], rng)
-            ab = ot.tensor_product(a, b)
-            ba = ot.tensor_product(b, a).permuted([1, 2])
+            ab = ot.contract_pair(a, b)
+            ba = ot.contract_pair(b, a).permuted([1, 2])
             # permutation-matrix oracle: P (B x A) P^T == A x B
             d_a, d_b = 2, 3
             perm = np.zeros((6, 6))
@@ -119,10 +119,6 @@ class TestTensorProduct:
             direct = perm @ np.kron(b.matrix, a.matrix) @ perm.T
             assert np.max(np.abs(ab.matrix - ba.matrix)) < 1e-14
             assert np.max(np.abs(ab.matrix - direct)) < 1e-14
-
-    def test_shared_id_rejected(self):
-        with pytest.raises(ot.DuplicateLabelError):
-            ot.tensor_product(op_out("a", 1, P0), op_in("a", 1, P0))
 
 
 class TestPartialTrace:
@@ -138,7 +134,7 @@ class TestPartialTrace:
         for _ in range(10):
             a = ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng)
             b = ot.random_preparation([Leg("b", 2, OUTPUT, 3)], rng)
-            traced = ot.partial_trace(ot.tensor_product(a, b), [2])
+            traced = ot.partial_trace(ot.contract_pair(a, b), [2])
             expected = a.matrix * np.trace(b.matrix)
             assert np.max(np.abs(traced.matrix - expected)) < 1e-14
 
@@ -229,9 +225,9 @@ class TestInvariants:
         a = ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng)
         b = ot.random_preparation([Leg("b", 2, OUTPUT, 3)], rng)
         for op in (
-            ot.tensor_product(a, b),
-            ot.partial_trace(ot.tensor_product(a, b), [1]),
-            ot.partial_transpose(ot.tensor_product(a, b), [2]),
+            ot.contract_pair(a, b),
+            ot.partial_trace(ot.contract_pair(a, b), [1]),
+            ot.partial_transpose(ot.contract_pair(a, b), [2]),
         ):
             assert np.max(np.abs(op.matrix - op.matrix.conj().T)) == 0.0
 
@@ -239,7 +235,7 @@ class TestInvariants:
         for _ in range(10):
             a = ot.random_result([Leg("a", 1, INPUT, 3)], rng)
             b = ot.random_result([Leg("b", 2, INPUT, 2)], rng)
-            lhs = np.trace(ot.tensor_product(a, b).matrix)
+            lhs = np.trace(ot.contract_pair(a, b).matrix)
             rhs = np.trace(a.matrix) * np.trace(b.matrix)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 

@@ -109,7 +109,7 @@ class TestSandwichCheck:
         ).real
         assert abs(by_trace - by_einsum) < 1e-13
         # and the identity-result trace scalar
-        iden = ot.tensor_product(
+        iden = ot.contract_pair(
             ot.identity_result(WireLabel("b", 2), 3),
             ot.identity_result(WireLabel("g", 7), g),
         )
