@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation failure, 3 physicality required but
-absent, 64 usage error (including a negative ``--shots``), 65 malformed
-data, 66 an input or output file that cannot be opened.
+absent, 64 usage error (including a negative ``--shots`` or ``--seed``),
+65 malformed data, 66 an input or output file that cannot be opened.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -37,24 +38,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _shot_count(text: str) -> int:
-    """``--shots``: a non-negative integer, 0 meaning exact probabilities."""
+def _non_negative_int(text: str) -> int:
+    """``--shots`` and ``--seed``: a non-negative integer."""
     try:
-        shots = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if shots < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {shots}")
-    return shots
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+class _CannotWrite(OSError):
+    pass
+
+
+@contextlib.contextmanager
+def _writing():
+    """Re-raise a failure to write an output so that it is reported as one."""
+    try:
+        yield
+    except OSError as exc:
+        raise _CannotWrite(exc.errno, exc.strerror, exc.filename) from exc
+
+
+def _read_text(path: str, kind: str) -> str:
+    """The UTF-8 text of ``path``, naming the file if it does not decode."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"bad {kind} file {path}: {exc}") from exc
 
 
 def _parse_file(path: str, kind: str, parse):
     """``parse`` the text of ``path``, naming the file if the text is malformed."""
-    text = _read_text(path)
+    text = _read_text(path, kind)
     try:
         return parse(text)
     except Exception as exc:
@@ -66,13 +84,13 @@ def _load_operator(path: str) -> operators.LabeledOperator:
 
 
 def _load_circuit(path: str) -> notation.CircuitFragment:
-    return notation.parse_circuit(_read_text(path))
+    return notation.parse_circuit(_read_text(path, "circuit"))
 
 
 def _load_binding(path: str) -> dict[str, operators.LabeledOperator]:
     base = Path(path).parent
     binding: dict[str, operators.LabeledOperator] = {}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, "binding").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -100,7 +118,7 @@ def _emit(report: dict, fmt: str) -> None:
 def cmd_validate(args) -> int:
     frag = _load_circuit(args.circuit)
     if args.types:
-        registry = notation.parse_registry(_read_text(args.types))
+        registry = notation.parse_registry(_read_text(args.types, "registry"))
         unknown = {lab.sys for lab in notation.iter_labels(frag)} - set(registry)
         if unknown:
             raise WiringError(f"unknown system types: {sorted(unknown)}")
@@ -158,9 +176,10 @@ def cmd_physical(args) -> int:
         report["witness_value"] = f"{witness.value:.12e}"
         if args.output:
             out = Path(args.output)
-            out.mkdir(parents=True, exist_ok=True)
-            operators.save(witness.preparation, out / "witness_preparation.json")
-            operators.save(witness.result, out / "witness_result.json")
+            with _writing():
+                out.mkdir(parents=True, exist_ok=True)
+                operators.save(witness.preparation, out / "witness_preparation.json")
+                operators.save(witness.result, out / "witness_result.json")
             report["witness_files"] = [
                 str(out / "witness_preparation.json"),
                 str(out / "witness_result.json"),
@@ -177,7 +196,8 @@ def cmd_decompose(args) -> int:
     dt = duo.decompose(op, fsets)
     payload = duo.duotensor_to_json_dict(dt)
     if args.output:
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
+        with _writing():
+            Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
         _emit({"written": args.output, "indices": len(dt.indices)}, args.format)
     else:
         print(json.dumps(payload, indent=2))
@@ -194,7 +214,8 @@ def cmd_reconstruct(args) -> int:
     fsets = duo.default_fiducials_for(legs)
     op = duo.reconstruct(dt, fsets, legs=legs)
     if args.output:
-        operators.save(op, args.output)
+        with _writing():
+            operators.save(op, args.output)
         _emit({"written": args.output, "dim": op.dim}, args.format)
     else:
         print(operators.dumps(op))
@@ -216,7 +237,8 @@ def cmd_tomography(args) -> int:
         "max_entry_error": f"{error:.12e}",
     }
     if args.output:
-        operators.save(recovered, args.output)
+        with _writing():
+            operators.save(recovered, args.output)
         report["written"] = args.output
     _emit(report, args.format)
     return EX_OK
@@ -296,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tomography", help="reconstruct an operator by probing it")
     p.add_argument("operator", help="hidden operator file (also the reference)")
-    p.add_argument("--shots", type=_shot_count, default=0, help="0 = exact probabilities")
-    p.add_argument("--seed", type=int, default=0, help="shot-noise seed")
+    p.add_argument("--shots", type=_non_negative_int, default=0, help="0 = exact probabilities")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="shot-noise seed")
     p.add_argument("--output")
     common(p)
     p.set_defaults(func=cmd_tomography)
@@ -330,6 +352,7 @@ def main(argv=None) -> int:
         for types, code, describe in (
             (CircuitSyntaxError, EX_VALIDATION, lambda e: f"syntax error: {e}"),
             (WiringError, EX_VALIDATION, lambda e: f"{type(e).__name__}: {e}"),
+            (_CannotWrite, EX_NOINPUT, lambda e: f"cannot write {e.filename}: {e.strerror}"),
             (FileNotFoundError, EX_NOINPUT, lambda e: f"missing file: {e.filename}"),
             (OSError, EX_NOINPUT, lambda e: f"cannot open {e.filename}: {e.strerror}"),
             ((ValueError, KeyError), EX_DATA, lambda e: f"error: {e}"),

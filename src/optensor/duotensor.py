@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .contraction import _einsum
 from .errors import (
     ConditioningWarning,
     DimMismatchError,
@@ -233,7 +234,7 @@ def _fiducial_overlaps(op: LabeledOperator, stacks: Sequence[np.ndarray]) -> np.
     for m, stack in enumerate(stacks):
         # Tr(F_j . op) on leg m: F's row meets op's bra, F's column the ket
         operands.extend([stack, [2 * k + m, k + m, m]])
-    overlaps = np.einsum(*operands, list(range(2 * k, 3 * k)), optimize=True)
+    overlaps = _einsum(*operands, list(range(2 * k, 3 * k)))
     residue = float(np.max(np.abs(overlaps.imag)))
     if residue > op.tol:
         raise NonHermitianError(
@@ -293,7 +294,7 @@ def reconstruct(
         stack = _fiducial_stack(fsets, leg)
         operands.extend([stack, [m, k + m, 2 * k + m]])
     out = list(range(k, 2 * k)) + list(range(2 * k, 3 * k))
-    raw = np.einsum(*operands, out, optimize=True)
+    raw = _einsum(*operands, out)
     dim = int(np.prod([l.dim for l in legs])) if legs else 1
     return LabeledOperator(legs, raw.reshape(dim, dim), tol)
 

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .binding import Binding, resolve_binding
-from .contraction import circuit_trace
+from .contraction import _einsum, circuit_trace
 from .errors import (
     DimMismatchError,
     NotApplicableError,
@@ -135,7 +135,7 @@ def sandwich_check(
         # value of  prep . op . result  for every sample at once; the
         # ancilla is traced out first, pairing each sample's prep and result
         pair = np.einsum("sig,syg->siy", alpha, gamma.conj())
-        vals = np.einsum("siy,IyiY,sIY->s", pair, tensor, pair.conj(), optimize=True)
+        vals = _einsum("siy,IyiY,sIY->s", pair, tensor, pair.conj())
         trace_vals = np.einsum("sig,sIg,Ii->s", alpha, alpha.conj(), trace_out)
         min_sandwich = min(min_sandwich, float(vals.real.min()))
         max_trace = max(max_trace, float(trace_vals.real.max()))

@@ -315,6 +315,12 @@ class TestUsageAndData:
         assert (code, out) == (64, "")
         assert "--shots" in err and "-5" in err
 
+    def test_negative_seed_exit_64(self, workspace, capsys):
+        argv = ("tomography", str(workspace / "prep.json"), "--shots", "10", "--seed", "-1")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert "argument --seed: must not be negative, got -1" in err
+
 
 # Every file argument of every command: (argv with TARGET in the slot under
 # test, kind of file), run from inside the workspace.  Circuit text that does
@@ -385,6 +391,13 @@ class TestFileErrors:
         Path("bad.txt").write_text(MALFORMED[kind])
         assert_one_line_failure(run_on(capsys, argv, "bad.txt"), 65)
 
+    @pytest.mark.parametrize("argv, kind", FILE_ARGUMENTS)
+    def test_non_utf8_input_exit_65(self, capsys, argv, kind):
+        Path("latin.txt").write_bytes(b"\xff\xfe")
+        result = run_on(capsys, argv, "latin.txt")
+        assert_one_line_failure(result, 65)
+        assert result[2].startswith(f"error: bad {kind} file latin.txt: 'utf-8' codec")
+
     def test_malformed_operator_in_binding_exit_65(self, capsys):
         Path("prep.json").write_text("{not json")
         result = run(capsys, "eval", "pair.circ", "binding.txt")
@@ -406,3 +419,11 @@ class TestFileErrors:
     )
     def test_unwritable_output_exit_66(self, capsys, argv, output):
         assert_one_line_failure(run(capsys, *argv, "--output", output), 66)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("decompose", "prep.json"), ("reconstruct", "prep.duo.json"), ("tomography", "prep.json")],
+    )
+    def test_output_in_missing_directory_names_the_write(self, capsys, argv):
+        result = run(capsys, *argv, "--output", "absent/out.json")
+        assert result[2] == "cannot write absent/out.json: No such file or directory\n"

@@ -1,11 +1,13 @@
 """The library API that the benchmark relies on.
 
-``perfbench/workloads.py`` checks every item through ``len(causal.pairs)``,
-``open_pairs()`` and both evaluation routes, and ``perfbench/tracing.py``
-rebinds the library functions named in its ``LAYERS`` table.  Running a few
-items and resolving every traced name here makes an API break fail the test
-suite instead of every benchmark item or the traced run.  The benchmark
-files are imported as they are, never modified.
+``perfbench/workloads.py`` checks every circuit item through
+``len(causal.pairs)``, ``open_pairs()`` and both evaluation routes, and every
+tomography item through the values ``probe`` asked of a wrapping box;
+``perfbench/tracing.py`` rebinds the library functions named in its
+``LAYERS`` table.  Running a few items and resolving every traced name here
+makes an API break fail the test suite instead of every benchmark item or
+the traced run.  The benchmark files are imported as they are, never
+modified.
 """
 
 import importlib
@@ -30,6 +32,14 @@ def test_circuit_workload_items_pass_their_checks(perfbench):
         workload = workloads.CircuitWorkload(31, make_circuit)
         circ = workload.generate(index)
         assert workload.check(circ, workload.run(circ)) == []
+
+
+def test_tomography_workload_item_passes_its_check(perfbench):
+    """The check reads what ``probe`` asked of a wrapping box, for every setting."""
+    _, workloads = perfbench
+    workload = workloads.TomographyWorkload(31)
+    draws = workload.generate(0)
+    assert workload.check(draws, workload.run(draws)) == []
 
 
 def test_every_traced_layer_resolves(monkeypatch):

@@ -4,12 +4,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import optensor as ot
 from optensor import Leg, SystemType, WireLabel
 from optensor.cli import main
 from optensor.contraction import circuit_trace
+from optensor import duotensor, physicality
 from optensor.notation import INPUT, OUTPUT
+from optensor.tomography import _stream_states
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +257,112 @@ def test_cli_sampled_stdout_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == (
         '{\n  "shots": 10000,\n  "seed": 3,\n  "max_entry_error": "9.340904667108e-03"\n}\n'
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-setting sampler reference: one default_rng per setting, the body of
+# SampledBlackBox.probability before the streams were seeded in one batch
+
+
+def _reference_sampled_probe(box, fsets):
+    exact = ot.probe(ot.ExactBlackBox(box.hidden), fsets).data
+    data = np.empty(exact.shape)
+    for setting in np.ndindex(*exact.shape):
+        p = min(1.0, max(0.0, float(exact[setting])))
+        rng = np.random.default_rng((box.seed,) + tuple(setting))
+        data[setting] = float(rng.binomial(box.shots, p)) / float(box.shots)
+    return data
+
+
+SAMPLER_SEEDS = [0, 3, 2**31 - 1, 2**32, 2**64 + 5]
+
+
+class TestSampledProbeOracle:
+    @pytest.mark.parametrize("ins, outs", SIGNATURES)
+    def test_matches_per_setting_streams(self, ins, outs):
+        # (("a", "a"), ("a", "a")) makes 5 entropy words, past the 4-word pool
+        op = signature_op(ins, outs, seed=len(ins) * 10 + len(outs))
+        fsets = ot.default_fiducials_for(op)
+        for seed in SAMPLER_SEEDS:
+            for shots in (100, 10**6):
+                box = ot.SampledBlackBox(op, shots, seed)
+                black = ot.probe(box, fsets).data
+                assert np.array_equal(black, _reference_sampled_probe(box, fsets))
+                setting = (0,) * len(op.legs)
+                assert box.probability(setting, fsets) == black[setting]
+
+    def test_zero_leg_box(self):
+        op = ot.LabeledOperator((), np.array([[0.37]]))
+        for seed in SAMPLER_SEEDS:
+            box = ot.SampledBlackBox(op, 1000, seed)
+            black = ot.probe(box, {}).data
+            assert black.shape == ()
+            assert np.array_equal(black, _reference_sampled_probe(box, {}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**80),
+        shape=st.lists(st.integers(1, 5), max_size=6).map(tuple),
+    )
+    def test_states_match_default_rng(self, seed, shape):
+        states = _stream_states(seed, shape)
+        order = list(np.ndindex(*shape))
+        assert len(states) == len(order)
+        for setting, (state, inc) in zip(order, states):
+            want = np.random.default_rng((seed,) + setting).bit_generator.state
+            assert want["state"] == {"state": state, "inc": inc}
+
+    def test_seed_errors(self, fsets):
+        op = qubit_channel(seed=5)
+        with pytest.raises(ValueError):
+            ot.probe(ot.SampledBlackBox(op, 100, seed=-1), fsets)
+        for seed in (1.5, "3"):
+            with pytest.raises(TypeError):
+                ot.probe(ot.SampledBlackBox(op, 100, seed=seed), fsets)
+
+    def test_foreign_box_asked_every_setting_in_order(self, fsets):
+        class Recording:
+            def __init__(self, box):
+                self.box, self.asked = box, []
+
+            @property
+            def signature(self):
+                return self.box.signature
+
+            def probability(self, setting, fsets):
+                self.asked.append(setting)
+                return self.box.probability(setting, fsets)
+
+        inner = ot.SampledBlackBox(qubit_channel(seed=5), 1000, seed=3)
+        box = Recording(inner)
+        black = ot.probe(box, fsets).data
+        assert box.asked == list(np.ndindex(4, 4))
+        assert all(type(i) is int for setting in box.asked for i in setting)
+        assert np.array_equal(black, ot.probe(inner, fsets).data)
+
+
+def _einsum_optimize_true(*args):
+    return np.einsum(*args, optimize=True)
+
+
+@pytest.mark.parametrize("ins, outs", SIGNATURES)
+def test_cached_einsum_paths_match_optimize_true(ins, outs, monkeypatch):
+    """Overlaps, reconstruction and sandwich sampling, with a cached path and without."""
+    op = signature_op(ins, outs, seed=3)
+    fsets = ot.default_fiducials_for(op)
+
+    def results():
+        white = ot.decompose(op, fsets)
+        rebuilt = ot.reconstruct(white, fsets, legs=op.legs)
+        black = ot.probe(ot.ExactBlackBox(op), fsets)
+        sandwich = ot.sandwich_check(op, samples=50, seed=4)
+        return white.data, rebuilt.matrix, black.data, sandwich
+
+    cached = [results(), results()]  # a path search, then a cache hit
+    monkeypatch.setattr(duotensor, "_einsum", _einsum_optimize_true)
+    monkeypatch.setattr(physicality, "_einsum", _einsum_optimize_true)
+    searched = results()
+    for got in cached:
+        for a, b in zip(got[:3], searched[:3]):
+            assert np.array_equal(a, b)
+        assert got[3] == searched[3]
