@@ -97,6 +97,10 @@ def _load_binding(path: str) -> dict[str, operators.LabeledOperator]:
         if "=" not in line:
             raise ValueError(f"bad binding file {path} line {lineno}: {raw!r}")
         name, ref = (part.strip() for part in line.split("=", 1))
+        if not name:
+            raise ValueError(f"bad binding file {path} line {lineno}: empty operation name")
+        if name in binding:
+            raise ValueError(f"bad binding file {path} line {lineno}: {name!r} bound twice")
         ref_path = Path(ref)
         if not ref_path.is_absolute():
             ref_path = base / ref_path

@@ -7,7 +7,6 @@ Execution follows a pairwise plan; any valid plan yields the same result.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -113,40 +112,6 @@ def _pair_contract(
     raw = np.tensordot(x, y, axes=(x_axes, y_axes))
     raw_subs = [s for s in x_subs if s not in shared] + [s for s in y_subs if s not in shared]
     return raw.transpose([raw_subs.index(s) for s in out_subs])
-
-
-@functools.lru_cache(maxsize=256)
-def _greedy_path(subscripts: str | tuple, shapes: tuple) -> tuple:
-    """``np.einsum_path``'s greedy path for operands of these shapes.
-
-    The path depends only on the subscripts and the operand shapes, so
-    placeholder operands without storage stand in for the real ones.
-    """
-    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-    if isinstance(subscripts, str):
-        args = [subscripts, *operands]
-    else:
-        args = [x for pair in zip(operands, subscripts) for x in pair]
-        args += subscripts[len(operands):]
-    return tuple(np.einsum_path(*args, optimize="greedy")[0])
-
-
-def _einsum(*args) -> np.ndarray:
-    """``np.einsum(*args, optimize=True)`` with the path searched once per shape.
-
-    Takes either einsum form, a subscript string then the operands or
-    operands interleaved with their sublists; the greedy path is cached per
-    (subscripts, operand shapes).
-    """
-    if isinstance(args[0], str):
-        subscripts, operands = args[0], args[1:]
-    else:
-        operands = args[0 : len(args) - 1 : 2]
-        subscripts = tuple(tuple(sub) for sub in args[1::2])
-        if len(args) % 2:
-            subscripts += (tuple(args[-1]),)
-    path = _greedy_path(subscripts, tuple(np.shape(op) for op in operands))
-    return np.einsum(*args, optimize=path)
 
 
 def _subscripts(legs: Sequence) -> list[int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,7 +20,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .contraction import _einsum
 from .errors import (
     ConditioningWarning,
     DimMismatchError,
@@ -221,20 +221,31 @@ def _fiducial_stack(
     return stack
 
 
+def _per_leg(data: np.ndarray, matrices: Sequence[np.ndarray | None]) -> np.ndarray:
+    """Apply ``matrices[m]`` to axis ``m`` of ``data``; ``None`` leaves that axis alone.
+
+    The fiducial side acts on each leg on its own, so every conversion is
+    one ``tensordot`` per leg.
+    """
+    for m, matrix in enumerate(matrices):
+        if matrix is not None:
+            data = np.moveaxis(np.tensordot(matrix, data, axes=([1], [m])), 0, m)
+    return data
+
+
 def _fiducial_overlaps(op: LabeledOperator, stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Tr((F_j1 x ... x F_jk) . op) for every choice of one fiducial per leg.
 
-    One einsum over the operator tensor and one stack per leg, in leg order.
-    The overlaps of Hermitian matrices are real; an imaginary residue beyond
-    the operator's ``tol`` raises :class:`NonHermitianError` instead of
-    being dropped.
+    Each leg's bra and ket axes of the operator tensor are fused into one
+    axis of ``d**2`` entries, and each stack is flattened to ``(K, d**2)``
+    so that F's row meets op's bra and F's column the ket.  The overlaps of
+    Hermitian matrices are real; an imaginary residue beyond the operator's
+    ``tol`` raises :class:`NonHermitianError` instead of being dropped.
     """
     k = len(stacks)
-    operands: list = [op.tensor(), list(range(2 * k))]
-    for m, stack in enumerate(stacks):
-        # Tr(F_j . op) on leg m: F's row meets op's bra, F's column the ket
-        operands.extend([stack, [2 * k + m, k + m, m]])
-    overlaps = _einsum(*operands, list(range(2 * k, 3 * k)))
+    order = [axis for m in range(k) for axis in (k + m, m)]
+    fused = op.tensor().transpose(order).reshape([leg.dim**2 for leg in op.legs])
+    overlaps = _per_leg(fused, [stack.reshape(len(stack), -1) for stack in stacks])
     residue = float(np.max(np.abs(overlaps.imag)))
     if residue > op.tol:
         raise NonHermitianError(
@@ -264,12 +275,11 @@ def decompose(op: LabeledOperator, fsets: Mapping[str, FiducialSet]) -> Duotenso
     overlaps, which factorizes leg by leg.
     """
     stacks = [_fiducial_stack(fsets, leg) for leg in op.legs]
-    weights = _fiducial_overlaps(op, stacks)
-    for m, stack in enumerate(stacks):
+    inverses = []
+    for stack in stacks:
         gram = np.einsum("jab,lba->jl", stack, stack).real
-        moved = np.moveaxis(weights, m, 0)
-        solved = _solve_gram(gram, moved.reshape(gram.shape[0], -1)).reshape(moved.shape)
-        weights = np.moveaxis(solved, 0, m)
+        inverses.append(_solve_gram(gram, np.eye(len(gram))))
+    weights = _per_leg(_fiducial_overlaps(op, stacks), inverses)
     indices = tuple(DuoIndex(l.sys, l.id, l.role, l.dim, WHITE) for l in op.legs)
     return Duotensor(indices, weights)
 
@@ -289,13 +299,13 @@ def reconstruct(
     if len(legs) != len(dt.indices):
         raise ShapeMismatchError("leg count does not match index count")
     k = len(legs)
-    operands: list = [dt.data, list(range(k))]
-    for m, leg in enumerate(legs):
-        stack = _fiducial_stack(fsets, leg)
-        operands.extend([stack, [m, k + m, 2 * k + m]])
-    out = list(range(k, 2 * k)) + list(range(2 * k, 3 * k))
-    raw = _einsum(*operands, out)
-    dim = int(np.prod([l.dim for l in legs])) if legs else 1
+    # each leg's fused axis runs over (ket, bra) of its d x d block
+    stacks = [_fiducial_stack(fsets, leg) for leg in legs]
+    fused = _per_leg(dt.data, [stack.reshape(len(stack), -1).T for stack in stacks])
+    dims = [leg.dim for leg in legs]
+    split = fused.reshape([d for d in dims for _ in range(2)])
+    raw = split.transpose(list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)))
+    dim = math.prod(dims)
     return LabeledOperator(legs, raw.reshape(dim, dim), tol)
 
 
@@ -313,21 +323,18 @@ def convert_dots(
     targets = [target] * len(dt.indices) if isinstance(target, str) else list(target)
     if len(targets) != len(dt.indices):
         raise ShapeMismatchError("one target color per index required")
-    data = dt.data
-    new_indices = []
-    for m, (ix, want) in enumerate(zip(dt.indices, targets)):
+    matrices: list[np.ndarray | None] = []
+    for ix, want in zip(dt.indices, targets):
         if want not in (BLACK, WHITE):
             raise ValueError(f"unknown color {want!r}")
-        new_indices.append(replace(ix, color=want))
         if want == ix.color:
+            matrices.append(None)
             continue
         fset = fsets[ix.sys]
-        if want == BLACK:
-            matrix = fset.metric if ix.role == INPUT else fset.metric.T
-        else:
-            matrix = fset.metric_inv if ix.role == INPUT else fset.metric_inv.T
-        data = np.moveaxis(np.tensordot(matrix, data, axes=([1], [m])), 0, m)
-    return Duotensor(tuple(new_indices), data)
+        matrix = fset.metric if want == BLACK else fset.metric_inv
+        matrices.append(matrix if ix.role == INPUT else matrix.T)
+    new_indices = tuple(replace(ix, color=want) for ix, want in zip(dt.indices, targets))
+    return Duotensor(new_indices, _per_leg(dt.data, matrices))
 
 
 def wire_decomposition_check(

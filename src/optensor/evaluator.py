@@ -45,8 +45,20 @@ def _warn_nonphysical(frag: CircuitFragment, bound: list[LabeledOperator], eps: 
                 f"(min eig {report.input_transpose_min_eig:.3e}, "
                 f"trace excess {report.output_trace_excess:.3e})",
                 PhysicalityWarning,
-                stacklevel=3,
+                stacklevel=4,  # the caller of probability or probability_foliated
             )
+
+
+def _bind_circuit(
+    circuit: CircuitFragment, binding: Binding, eps: float, check_physical: bool
+) -> list[LabeledOperator]:
+    """The bound operators of a closed circuit, warning about non-physical ones."""
+    if circuit.kind != CIRCUIT:
+        raise NonCircuitTermError(f"fragment has open ports (kind={circuit.kind})")
+    bound = resolve_binding(circuit, binding)
+    if check_physical:
+        _warn_nonphysical(circuit, bound, eps)
+    return bound
 
 
 def probability(
@@ -60,12 +72,7 @@ def probability(
     Non-physical bindings are evaluated anyway but emit a
     :class:`PhysicalityWarning`.
     """
-    if circuit.kind != CIRCUIT:
-        raise NonCircuitTermError(f"fragment has open ports (kind={circuit.kind})")
-    bound = resolve_binding(circuit, binding)
-    if check_physical:
-        _warn_nonphysical(circuit, bound, eps)
-    return circuit_trace(bound).scalar
+    return circuit_trace(_bind_circuit(circuit, binding, eps, check_physical)).scalar
 
 
 def probability_foliated(
@@ -91,11 +98,7 @@ def probability_foliated(
     that the consumed wires come last, into the spare buffer and multiplies
     that by the transfer matrix back into the first.
     """
-    if circuit.kind != CIRCUIT:
-        raise NonCircuitTermError(f"fragment has open ports (kind={circuit.kind})")
-    bound = resolve_binding(circuit, binding)
-    if check_physical:
-        _warn_nonphysical(circuit, bound, eps)
+    bound = _bind_circuit(circuit, binding, eps, check_physical)
     _wire_ends(bound)  # the transfer matrices assume each wire's ends agree
     fol = foliate(circuit, policy)
     steps = [op_index for layer in fol.layers for op_index in layer]

@@ -8,6 +8,7 @@ operations here are pure: they return new operators and never mutate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -106,7 +107,7 @@ class LabeledOperator:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims)) if self.legs else 1
+        return math.prod(self.dims)
 
     @property
     def ids(self) -> tuple[int, ...]:
@@ -212,7 +213,7 @@ def partial_trace(op: LabeledOperator, over: Iterable[WireLabel | Leg | int]) ->
     out = [subscripts[i] for i in keep] + [subscripts[k + i] for i in keep]
     reduced = np.einsum(tensor, subscripts, out)
     new_legs = tuple(op.legs[i] for i in keep)
-    dim = int(np.prod([leg.dim for leg in new_legs])) if new_legs else 1
+    dim = math.prod(leg.dim for leg in new_legs)
     return LabeledOperator(new_legs, reduced.reshape(dim, dim), op.tol)
 
 
@@ -290,8 +291,8 @@ def operator_from_kraus(
     The Choi matrix ``sum_ij |i><j| (x) K|i><j|K^dag`` is input-transposed so
     that circuit contraction reproduces the map's action on states.
     """
-    din = int(np.prod([l.dim for l in in_legs])) if in_legs else 1
-    dout = int(np.prod([l.dim for l in out_legs])) if out_legs else 1
+    din = math.prod(l.dim for l in in_legs)
+    dout = math.prod(l.dim for l in out_legs)
     choi = np.zeros((din * dout, din * dout), dtype=complex)
     for K in kraus:
         K = np.asarray(K, dtype=complex)
@@ -357,7 +358,7 @@ def random_preparation(legs: Sequence[Leg], seed, mixed: bool = True) -> Labeled
     if any(l.role != OUTPUT for l in legs):
         raise ValueError("preparation legs must all be outputs")
     rng = _rng(seed)
-    dim = int(np.prod([l.dim for l in legs])) if legs else 1
+    dim = math.prod(l.dim for l in legs)
     if mixed:
         purification = haar_state(dim * dim, rng).reshape(dim, dim)
         rho = purification @ purification.conj().T
@@ -372,7 +373,7 @@ def random_result(legs: Sequence[Leg], seed) -> LabeledOperator:
     if any(l.role != INPUT for l in legs):
         raise ValueError("result legs must all be inputs")
     rng = _rng(seed)
-    dim = int(np.prod([l.dim for l in legs])) if legs else 1
+    dim = math.prod(l.dim for l in legs)
     u = random_unitary(dim, rng)
     return LabeledOperator(legs, u @ np.diag(rng.uniform(0.0, 1.0, dim)) @ u.conj().T)
 
@@ -412,8 +413,8 @@ def random_physical_transformation(
     sampled Kraus map, and ``sum K^dag K <= I`` bounds the output trace.
     """
     rng = _rng(seed)
-    din = int(np.prod([l.dim for l in in_legs])) if in_legs else 1
-    dout = int(np.prod([l.dim for l in out_legs])) if out_legs else 1
+    din = math.prod(l.dim for l in in_legs)
+    dout = math.prod(l.dim for l in out_legs)
     kraus = random_kraus_set(din, dout, rng, n_kraus, trace_preserving)
     return operator_from_kraus(kraus, in_legs, out_legs)
 
@@ -440,7 +441,7 @@ def from_json_dict(data: dict, tol: float = DEFAULT_TOL) -> LabeledOperator:
         if not id_text.startswith(sys_name) or not id_text[len(sys_name):].isdigit():
             raise ValueError(f"label id {id_text!r} does not match type {sys_name!r}")
         legs.append(Leg(sys_name, int(id_text[len(sys_name):]), entry["role"], int(entry["dim"])))
-    dim = int(np.prod([l.dim for l in legs])) if legs else 1
+    dim = math.prod(l.dim for l in legs)
     flat = np.array([complex(re, im) for re, im in data["matrix"]])
     if flat.size != dim * dim:
         raise DimMismatchError(f"matrix has {flat.size} entries, expected {dim * dim}")

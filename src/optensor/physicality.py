@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .binding import Binding, resolve_binding
-from .contraction import _einsum, circuit_trace
+from .contraction import circuit_trace
 from .errors import (
     DimMismatchError,
     NotApplicableError,
@@ -93,8 +93,8 @@ def _inout_tensor(op: LabeledOperator) -> tuple[np.ndarray, int, int]:
     """Matrix permuted to inputs-then-outputs, reshaped (Nin, Nout, Nin, Nout)."""
     order = [l.id for l in op.input_legs] + [l.id for l in op.output_legs]
     arranged = op.permuted(order)
-    nin = int(np.prod([l.dim for l in op.input_legs])) if op.input_legs else 1
-    nout = int(np.prod([l.dim for l in op.output_legs])) if op.output_legs else 1
+    nin = math.prod(l.dim for l in op.input_legs)
+    nout = math.prod(l.dim for l in op.output_legs)
     return arranged.matrix.reshape(nin, nout, nin, nout), nin, nout
 
 
@@ -127,6 +127,8 @@ def sandwich_check(
     dims = tuple(dict.fromkeys(max(1, int(g)) for g in ancilla_dims))
     rng = np.random.default_rng(seed)
     trace_out = np.einsum(tensor, [0, 1, 2, 1], [0, 2])
+    # realigned[(i, y), (I, Y)] = tensor[I, y, i, Y]
+    realigned = tensor.transpose(2, 1, 0, 3).reshape(nin * nout, nin * nout)
     min_sandwich = math.inf
     max_trace = -math.inf
     for g in dims:
@@ -134,9 +136,9 @@ def sandwich_check(
         gamma = _haar_batch(rng, samples, nout, g)
         # value of  prep . op . result  for every sample at once; the
         # ancilla is traced out first, pairing each sample's prep and result
-        pair = np.einsum("sig,syg->siy", alpha, gamma.conj())
-        vals = _einsum("siy,IyiY,sIY->s", pair, tensor, pair.conj())
-        trace_vals = np.einsum("sig,sIg,Ii->s", alpha, alpha.conj(), trace_out)
+        pair = np.matmul(alpha, gamma.conj().transpose(0, 2, 1)).reshape(samples, -1)
+        vals = ((pair @ realigned) * pair.conj()).sum(axis=1)
+        trace_vals = (alpha.conj() * (trace_out @ alpha)).sum(axis=(1, 2))
         min_sandwich = min(min_sandwich, float(vals.real.min()))
         max_trace = max(max_trace, float(trace_vals.real.max()))
     passed = min_sandwich >= -eps and max_trace <= 1.0 + eps
@@ -174,7 +176,7 @@ def witness_nonphysical(op: LabeledOperator, eps: float = 1e-9) -> Witness:
     if report.physical:
         raise NotApplicableError("operator is physical; no witness exists")
     in_legs, out_legs = op.input_legs, op.output_legs
-    nin = int(np.prod([l.dim for l in in_legs])) if in_legs else 1
+    nin = math.prod(l.dim for l in in_legs)
     anc = _fresh_ancilla_id(op)
 
     if report.input_transpose_min_eig < -eps:
@@ -201,7 +203,7 @@ def witness_nonphysical(op: LabeledOperator, eps: float = 1e-9) -> Witness:
         prep = LabeledOperator(prep_legs, projector(v[:, -1]))
     else:
         prep = scalar_operator(1.0)
-    nout = int(np.prod([l.dim for l in out_legs])) if out_legs else 1
+    nout = math.prod(l.dim for l in out_legs)
     result = LabeledOperator(
         tuple(Leg(l.sys, l.id, INPUT, l.dim) for l in out_legs), np.eye(nout)
     )

@@ -67,8 +67,8 @@ class ExactBlackBox(_FiducialBox):
     """Evaluates fiducial circuits of a hidden operator exactly.
 
     The first call for given fiducial sets contracts the operator with every
-    fiducial combination in one einsum and keeps the array; each later call
-    with the same sets is an O(1) lookup.
+    fiducial combination, one leg at a time, and keeps the array; each later
+    call with the same sets is an O(1) lookup.
     """
 
 

@@ -398,6 +398,20 @@ class TestFileErrors:
         assert_one_line_failure(result, 65)
         assert result[2].startswith(f"error: bad {kind} file latin.txt: 'utf-8' codec")
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("P = prep.json\nR = result.json\nP = prep.json\n", "'P' bound twice"),
+            ("P = prep.json\nR = result.json\n = result.json\n", "empty operation name"),
+        ],
+        ids=["repeated", "empty"],
+    )
+    def test_repeated_or_empty_binding_name_exit_65(self, capsys, text, problem):
+        Path("names.txt").write_text(text)
+        result = run(capsys, "eval", "pair.circ", "names.txt")
+        assert_one_line_failure(result, 65)
+        assert result[2] == f"error: bad binding file names.txt line 3: {problem}\n"
+
     def test_malformed_operator_in_binding_exit_65(self, capsys):
         Path("prep.json").write_text("{not json")
         result = run(capsys, "eval", "pair.circ", "binding.txt")

@@ -144,7 +144,7 @@ class TestDecompose:
             assert np.max(np.abs(back.matrix - op.matrix)) <= 1e-10
 
     def test_reconstruct_matches_pathless_einsum(self, rng, qubit_fiducials, qutrit_fiducials):
-        """The contraction-path einsum against the one-pass expression it replaced."""
+        """The per-leg kernel against the one-pass einsum expression."""
         fsets = {"a": qubit_fiducials, "b": qutrit_fiducials}
         for legs in (
             (Leg("b", 1, INPUT, 3), Leg("b", 2, INPUT, 3), Leg("b", 3, OUTPUT, 3)),

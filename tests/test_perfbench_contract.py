@@ -1,8 +1,9 @@
 """The library API that the benchmark relies on.
 
 ``perfbench/workloads.py`` checks every circuit item through
-``len(causal.pairs)``, ``open_pairs()`` and both evaluation routes, and every
-tomography item through the values ``probe`` asked of a wrapping box;
+``len(causal.pairs)``, ``open_pairs()`` and both evaluation routes, every
+tomography item through the values ``probe`` asked of a wrapping box, and
+every cli item through ``cli.main``'s exit code and output;
 ``perfbench/tracing.py`` rebinds the library functions named in its
 ``LAYERS`` table.  Running a few items and resolving every traced name here
 makes an API break fail the test suite instead of every benchmark item or
@@ -40,6 +41,17 @@ def test_tomography_workload_item_passes_its_check(perfbench):
     workload = workloads.TomographyWorkload(31)
     draws = workload.generate(0)
     assert workload.check(draws, workload.run(draws)) == []
+
+
+def test_cli_workload_session_passes_its_checks(perfbench, tmp_path):
+    """Every command of the session, in process, from set-up files to exit codes."""
+    _, workloads = perfbench
+    src = PERFBENCH.parent / "src"
+    workload = workloads.CliWorkload(31, tmp_path, src, in_process=True)
+    workload.setup()
+    for index in range(len(workload.session)):
+        argv = workload.generate(index)
+        assert workload.check(argv, workload.run(argv)) == [], argv
 
 
 def test_every_traced_layer_resolves(monkeypatch):

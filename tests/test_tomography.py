@@ -1,5 +1,6 @@
 """Process tomography: exact linear inversion and shot-noise behaviour."""
 
+import math
 import re
 
 import numpy as np
@@ -10,8 +11,9 @@ import optensor as ot
 from optensor import Leg, SystemType, WireLabel
 from optensor.cli import main
 from optensor.contraction import circuit_trace
-from optensor import duotensor, physicality
+from optensor.duotensor import _fiducial_stack
 from optensor.notation import INPUT, OUTPUT
+from optensor.physicality import _haar_batch, _inout_tensor
 from optensor.tomography import _stream_states
 
 
@@ -341,28 +343,115 @@ class TestSampledProbeOracle:
         assert np.array_equal(black, ot.probe(inner, fsets).data)
 
 
-def _einsum_optimize_true(*args):
-    return np.einsum(*args, optimize=True)
+# The per-leg fiducial kernel against the einsum expressions it replaced,
+# kept verbatim apart from the reference names.
 
 
-@pytest.mark.parametrize("ins, outs", SIGNATURES)
-def test_cached_einsum_paths_match_optimize_true(ins, outs, monkeypatch):
-    """Overlaps, reconstruction and sandwich sampling, with a cached path and without."""
-    op = signature_op(ins, outs, seed=3)
+def _reference_overlaps(op, stacks):
+    k = len(stacks)
+    operands: list = [op.tensor(), list(range(2 * k))]
+    for m, stack in enumerate(stacks):
+        # Tr(F_j . op) on leg m: F's row meets op's bra, F's column the ket
+        operands.extend([stack, [2 * k + m, k + m, m]])
+    return np.einsum(*operands, list(range(2 * k, 3 * k)), optimize=True).real
+
+
+def _reference_decompose(op, fsets):
+    stacks = [_fiducial_stack(fsets, leg) for leg in op.legs]
+    weights = _reference_overlaps(op, stacks)
+    for m, stack in enumerate(stacks):
+        gram = np.einsum("jab,lba->jl", stack, stack).real
+        moved = np.moveaxis(weights, m, 0)
+        solved = np.linalg.solve(gram, moved.reshape(gram.shape[0], -1)).reshape(moved.shape)
+        weights = np.moveaxis(solved, 0, m)
+    return weights
+
+
+def _reference_reconstruct(data, fsets, legs):
+    k = len(legs)
+    operands: list = [data, list(range(k))]
+    for m, leg in enumerate(legs):
+        stack = _fiducial_stack(fsets, leg)
+        operands.extend([stack, [m, k + m, 2 * k + m]])
+    out = list(range(k, 2 * k)) + list(range(2 * k, 3 * k))
+    raw = np.einsum(*operands, out, optimize=True)
+    dim = int(np.prod([l.dim for l in legs])) if legs else 1
+    return raw.reshape(dim, dim)
+
+
+def _reference_convert_dots(dt, targets, fsets):
+    data = dt.data
+    for m, (ix, want) in enumerate(zip(dt.indices, targets)):
+        if want == ix.color:
+            continue
+        fset = fsets[ix.sys]
+        if want == ot.BLACK:
+            matrix = fset.metric if ix.role == INPUT else fset.metric.T
+        else:
+            matrix = fset.metric_inv if ix.role == INPUT else fset.metric_inv.T
+        data = np.moveaxis(np.tensordot(matrix, data, axes=([1], [m])), 0, m)
+    return data
+
+
+def _reference_sandwich(op, ancilla_dims, samples, seed, eps=1e-9):
+    tensor, nin, nout = _inout_tensor(op)
+    dims = tuple(dict.fromkeys(max(1, int(g)) for g in ancilla_dims))
+    rng = np.random.default_rng(seed)
+    trace_out = np.einsum(tensor, [0, 1, 2, 1], [0, 2])
+    min_sandwich = math.inf
+    max_trace = -math.inf
+    for g in dims:
+        alpha = _haar_batch(rng, samples, nin, g)
+        gamma = _haar_batch(rng, samples, nout, g)
+        pair = np.einsum("sig,syg->siy", alpha, gamma.conj())
+        vals = np.einsum("siy,IyiY,sIY->s", pair, tensor, pair.conj(), optimize=True)
+        trace_vals = np.einsum("sig,sIg,Ii->s", alpha, alpha.conj(), trace_out)
+        min_sandwich = min(min_sandwich, float(vals.real.min()))
+        max_trace = max(max_trace, float(trace_vals.real.max()))
+    passed = min_sandwich >= -eps and max_trace <= 1.0 + eps
+    return ot.SandwichReport(passed, min_sandwich, max_trace, samples, dims)
+
+
+def _assert_close(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.max(np.abs(np.asarray(got) - want), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("ins, outs", SIGNATURES + [((), ())])
+def test_per_leg_kernel_matches_einsum_references(ins, outs):
+    """Decompose, reconstruct, exact probe, both dot conversions and sandwich
+    sampling against the einsum expressions; the last case has no legs."""
+    op = signature_op(ins, outs, seed=3) if ins or outs else ot.scalar_operator(0.75)
     fsets = ot.default_fiducials_for(op)
+    white = ot.decompose(op, fsets)
+    _assert_close(white.data, _reference_decompose(op, fsets))
+    rebuilt = ot.reconstruct(white, fsets, legs=op.legs)
+    _assert_close(rebuilt.matrix, _reference_reconstruct(white.data, fsets, op.legs))
+    probing = [_fiducial_stack(fsets, leg, probing=True) for leg in op.legs]
+    black = ot.probe(ot.ExactBlackBox(op), fsets)
+    _assert_close(black.data, _reference_overlaps(op, probing))
+    for source, target in ((white, ot.BLACK), (black, ot.WHITE)):
+        converted = ot.convert_dots(source, target, fsets)
+        targets = [target] * len(source.indices)
+        _assert_close(converted.data, _reference_convert_dots(source, targets, fsets))
+    got = ot.sandwich_check(op, (1, 2, 4), samples=50, seed=4)
+    want = _reference_sandwich(op, (1, 2, 4), samples=50, seed=4)
+    assert abs(got.min_sandwich - want.min_sandwich) <= 1e-12
+    assert abs(got.max_trace_scalar - want.max_trace_scalar) <= 1e-12
+    assert (got.passed, got.samples, got.ancilla_dims) == (
+        want.passed, want.samples, want.ancilla_dims
+    )
 
-    def results():
-        white = ot.decompose(op, fsets)
-        rebuilt = ot.reconstruct(white, fsets, legs=op.legs)
-        black = ot.probe(ot.ExactBlackBox(op), fsets)
-        sandwich = ot.sandwich_check(op, samples=50, seed=4)
-        return white.data, rebuilt.matrix, black.data, sandwich
 
-    cached = [results(), results()]  # a path search, then a cache hit
-    monkeypatch.setattr(duotensor, "_einsum", _einsum_optimize_true)
-    monkeypatch.setattr(physicality, "_einsum", _einsum_optimize_true)
-    searched = results()
-    for got in cached:
-        for a, b in zip(got[:3], searched[:3]):
-            assert np.array_equal(a, b)
-        assert got[3] == searched[3]
+def test_convert_dots_unchanged_index_needs_no_fiducials(rng, fsets):
+    """Only recolored indices look up a fiducial set."""
+    indices = (
+        ot.DuoIndex("a", 1, INPUT, 2, ot.WHITE),
+        ot.DuoIndex("z", 2, OUTPUT, 3, ot.BLACK),
+        ot.DuoIndex("a", 3, OUTPUT, 2, ot.BLACK),
+    )
+    dt = ot.Duotensor(indices, rng.standard_normal((4, 9, 4)))
+    targets = [ot.BLACK, ot.BLACK, ot.WHITE]
+    converted = ot.convert_dots(dt, targets, fsets)
+    assert converted.colors == tuple(targets)
+    _assert_close(converted.data, _reference_convert_dots(dt, targets, fsets))
