@@ -11,17 +11,15 @@ import argparse
 import contextlib
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import duotensor as duo
 from . import evaluator, notation, operators, tomography
-from .contraction import plan_contraction
-from .binding import resolve_binding
-from .errors import CircuitSyntaxError, PhysicalityWarning, WiringError
-from .physicality import is_physical, witness_nonphysical
+from .contraction import execute_plan, plan_contraction
+from .errors import CircuitSyntaxError, WiringError
+from .physicality import _nonphysical_bindings, is_physical, witness_nonphysical
 
 EX_OK = 0
 EX_VALIDATION = 2
@@ -143,19 +141,19 @@ def cmd_eval(args) -> int:
     frag = _load_circuit(args.circuit)
     binding = _load_binding(args.bindings)
     report: dict = {}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", PhysicalityWarning)
-        if args.explain:
-            plan = plan_contraction(resolve_binding(frag, binding))
-            report["plan"] = plan.dump().splitlines()
-            report["peak_dim"] = plan.peak_dim
-        if args.method in ("tensor", "both"):
-            tensor = evaluator.probability(frag, binding, eps=args.eps)
-            report["probability_tensor"] = f"{tensor:.12f}"
-        if args.method in ("foliation", "both"):
-            foliation = evaluator.probability_foliated(frag, binding, eps=args.eps)
-            report["probability_foliation"] = f"{foliation:.12f}"
-        warned = [str(w.message) for w in caught if issubclass(w.category, PhysicalityWarning)]
+    bound = evaluator._bind_circuit(frag, binding, args.eps, check_physical=False)
+    warned = _nonphysical_bindings(frag, bound, args.eps)
+    if args.explain or args.method != "foliation":
+        plan = plan_contraction(bound)
+    if args.explain:
+        report["plan"] = plan.dump().splitlines()
+        report["peak_dim"] = plan.peak_dim
+    if args.method in ("tensor", "both"):
+        tensor = execute_plan(bound, plan).scalar
+        report["probability_tensor"] = f"{tensor:.12f}"
+    if args.method in ("foliation", "both"):
+        foliation = evaluator._foliated_probability(frag, bound, "earliest")
+        report["probability_foliation"] = f"{foliation:.12f}"
     if args.method == "both":
         report["difference"] = f"{abs(tensor - foliation):.3e}"
     for message in dict.fromkeys(warned):

@@ -9,25 +9,30 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimMismatchError, LabelArityError
-from .notation import OUTPUT, WireLabel
+from .notation import WireLabel
 from .operators import LabeledOperator, scalar_operator
 
 
 @dataclass(frozen=True)
 class PlanStep:
-    """One pairwise contraction: operands by index, wires contracted, produced size."""
+    """One pairwise contraction: operands by index, wires contracted, produced size.
+
+    ``recipe`` is ``(axes, perm)``: the step is ``np.tensordot(left, right,
+    axes).transpose(perm)`` on tensors with one ket then one bra axis per leg.
+    """
 
     left: int
     right: int
     over: tuple[WireLabel, ...]
     result_dim: int
     result_index: int
+    recipe: tuple | None = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         wires = " ".join(str(w) for w in self.over)
@@ -39,12 +44,16 @@ class ContractionPlan:
     """An ordered pairwise plan over an operand list.
 
     ``peak_dim`` is the largest total dimension any produced intermediate
-    reaches while executing the steps.
+    reaches while executing the steps.  ``operand_legs`` are the legs of the
+    operands the plan was built for, and ``result_legs`` the legs of the
+    result, ordered as they first appear in the operand scan.
     """
 
     n_operands: int
     steps: tuple[PlanStep, ...]
     peak_dim: int
+    operand_legs: tuple = field(default=(), compare=False, repr=False)
+    result_legs: tuple = field(default=(), compare=False, repr=False)
 
     def dump(self) -> str:
         return "\n".join(str(s) for s in self.steps)
@@ -77,55 +86,6 @@ def _wire_ends(ops: Sequence[LabeledOperator]) -> dict[int, list[int]]:
     return ends
 
 
-def _step_result(left: tuple, right: tuple) -> tuple[tuple[WireLabel, ...], tuple, int]:
-    """Wires contracted, surviving legs and total dimension of one step.
-
-    Shared wires are listed in the left operand's leg order; surviving legs
-    are the left operand's followed by the right operand's.
-    """
-    ids_left = {leg.id for leg in left}
-    ids_right = {leg.id for leg in right}
-    over = tuple(leg.wire for leg in left if leg.id in ids_right)
-    legs = tuple(leg for leg in left if leg.id not in ids_right) + tuple(
-        leg for leg in right if leg.id not in ids_left
-    )
-    return over, legs, math.prod(leg.dim for leg in legs)
-
-
-def _pair_contract(
-    x: np.ndarray,
-    x_subs: Sequence[int],
-    y: np.ndarray,
-    y_subs: Sequence[int],
-    out_subs: Sequence[int],
-) -> np.ndarray:
-    """``np.einsum(x, x_subs, y, y_subs, out_subs)`` as one BLAS matrix product.
-
-    Each symbol appears at most once per operand.  Symbols carried by both
-    operands are summed over and every other symbol appears in ``out_subs``,
-    so the contraction is a ``tensordot`` followed by an axis permutation:
-    an outer product when nothing is shared, a scalar when everything is.
-    """
-    shared = set(x_subs) & set(y_subs)
-    x_axes = [i for i, s in enumerate(x_subs) if s in shared]
-    y_axes = [y_subs.index(x_subs[i]) for i in x_axes]
-    raw = np.tensordot(x, y, axes=(x_axes, y_axes))
-    raw_subs = [s for s in x_subs if s not in shared] + [s for s in y_subs if s not in shared]
-    return raw.transpose([raw_subs.index(s) for s in out_subs])
-
-
-def _subscripts(legs: Sequence) -> list[int]:
-    """Symbols of an operand's ket axes then bra axes, drawn from wire ids.
-
-    A producer's ket is its consumer's bra and vice versa, so the two
-    symbols of a contracted wire appear in both operands and no other
-    symbol repeats.
-    """
-    kets = [2 * leg.id + (leg.role == OUTPUT) for leg in legs]
-    bras = [2 * leg.id + (leg.role != OUTPUT) for leg in legs]
-    return kets + bras
-
-
 def contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     """Contract all wire ids shared by two operators (tensor product if none).
 
@@ -137,25 +97,58 @@ def contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
 
 
 class _PlanBuilder:
-    """Records the steps of a plan as operand pairs are chosen."""
+    """Records the steps of a plan, with their recipes, as operand pairs are chosen."""
 
     def __init__(self, ops: Sequence[LabeledOperator]):
         self.n_operands = len(ops)
-        self.legs_of: dict[int, tuple] = {i: op.legs for i, op in enumerate(ops)}
+        self.operand_legs = tuple(op.legs for op in ops)
+        self.legs_of: dict[int, tuple] = dict(enumerate(self.operand_legs))
         self.steps: list[PlanStep] = []
         self.peak = max((op.dim for op in ops), default=1)
 
     def contract(self, i: int, j: int) -> int:
-        """Append the step joining live operands ``i`` and ``j``; return its index."""
-        over, legs, dim = _step_result(self.legs_of.pop(i), self.legs_of.pop(j))
+        """Append the step joining live operands ``i`` and ``j``; return its index.
+
+        Shared wires are listed in the left operand's leg order; surviving
+        legs are the left operand's followed by the right operand's.  On each
+        shared wire the left operand's ket axis meets the right operand's bra
+        axis and vice versa: a producer's ket is its consumer's bra.
+        """
+        left, right = self.legs_of.pop(i), self.legs_of.pop(j)
+        at_right = {leg.id: b for b, leg in enumerate(right)}
+        ids_left = {leg.id for leg in left}
+        shared_left = [a for a, leg in enumerate(left) if leg.id in at_right]
+        shared_right = [at_right[left[a].id] for a in shared_left]
+        axes = (
+            shared_left + [len(left) + a for a in shared_left],
+            [len(right) + b for b in shared_right] + shared_right,
+        )
+        legs = tuple(leg for leg in left if leg.id not in at_right) + tuple(
+            leg for leg in right if leg.id not in ids_left
+        )
+        # tensordot leaves the left's kept kets then bras, then the right's
+        p, n = len(left) - len(shared_left), len(legs)
+        perm = (*range(p), *range(2 * p, p + n), *range(p, 2 * p), *range(p + n, 2 * n))
+        dim = math.prod(leg.dim for leg in legs)
         k = self.n_operands + len(self.steps)
-        self.steps.append(PlanStep(i, j, over, dim, k))
+        over = tuple(left[a].wire for a in shared_left)
+        self.steps.append(PlanStep(i, j, over, dim, k, (axes, perm)))
         self.legs_of[k] = legs
         self.peak = max(self.peak, dim)
         return k
 
     def plan(self) -> ContractionPlan:
-        return ContractionPlan(self.n_operands, tuple(self.steps), self.peak)
+        """The plan, its last step reordering the result's legs to operand-scan order."""
+        (final,) = self.legs_of.values() or [()]
+        result_legs = tuple(leg for legs in self.operand_legs for leg in legs if leg in final)
+        if self.steps:
+            order = [final.index(leg) for leg in result_legs]
+            axes, perm = self.steps[-1].recipe
+            perm = tuple(perm[n] for n in order + [len(final) + n for n in order])
+            self.steps[-1] = replace(self.steps[-1], recipe=(axes, perm))
+        return ContractionPlan(
+            self.n_operands, tuple(self.steps), self.peak, self.operand_legs, result_legs
+        )
 
 
 def plan_contraction(ops: Sequence[LabeledOperator]) -> ContractionPlan:
@@ -220,32 +213,27 @@ def plan_left_to_right(ops: Sequence[LabeledOperator]) -> ContractionPlan:
 def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> LabeledOperator:
     """Run a plan on raw tensors and wrap only the result as an operator.
 
-    Each step joins two ``(tensor, legs)`` operands with the pair kernel,
-    its subscripts drawn from wire ids (see :func:`_subscripts`).
+    Each step is its recipe: one ``tensordot`` and one ``transpose``.
     Intermediates are neither checked nor symmetrized: contracting two
     Hermitian operators over the wires they share gives a Hermitian one in
     exact arithmetic.  The result is built once with the full constructor
     check at the operands' smallest ``tol``, so :class:`NonHermitianError`
     reports the final deviation, and its legs are ordered as they first
-    appear in the operand scan.
+    appear in the operand scan.  Raises ValueError unless ``ops`` carry the
+    legs the plan was built for.
     """
+    if tuple(op.legs for op in ops) != plan.operand_legs:
+        raise ValueError("plan was built for operands with other legs")
     if not ops:
         return scalar_operator(1.0)
-    operands = {i: (op.tensor(), op.legs) for i, op in enumerate(ops)}
+    tensors = {i: op.tensor() for i, op in enumerate(ops)}
     for step in plan.steps:
-        x, x_legs = operands.pop(step.left)
-        y, y_legs = operands.pop(step.right)
-        _, legs, _ = _step_result(x_legs, y_legs)
-        raw = _pair_contract(x, _subscripts(x_legs), y, _subscripts(y_legs), _subscripts(legs))
-        operands[step.result_index] = (raw, legs)
-    if len(operands) != 1:
-        raise ValueError("plan did not reduce to a single operand")
-    ((tensor, legs),) = operands.values()
-    dim = math.prod(leg.dim for leg in legs)
-    result = LabeledOperator(legs, tensor.reshape(dim, dim), min(op.tol for op in ops))
-    open_ids = set(result.ids)
-    open_order = [leg.id for op in ops for leg in op.legs if leg.id in open_ids]
-    return result.permuted(open_order)
+        axes, perm = step.recipe
+        product = np.tensordot(tensors.pop(step.left), tensors.pop(step.right), axes)
+        tensors[step.result_index] = product.transpose(perm)
+    (tensor,) = tensors.values()
+    dim = math.prod(leg.dim for leg in plan.result_legs)
+    return LabeledOperator(plan.result_legs, tensor.reshape(dim, dim), min(op.tol for op in ops))
 
 
 def circuit_trace(ops: Sequence[LabeledOperator]) -> LabeledOperator:

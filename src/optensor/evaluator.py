@@ -27,26 +27,7 @@ from .errors import (
 )
 from .notation import CIRCUIT, INPUT, CircuitFragment, causal_structure, foliate
 from .operators import LabeledOperator
-from .physicality import input_transpose, is_physical
-
-
-def _warn_nonphysical(frag: CircuitFragment, bound: list[LabeledOperator], eps: float) -> None:
-    # Every operation with one name is bound to the same binding entry, and
-    # relabeling keeps its leg order and matrix, so the name's first
-    # operator stands for all of them.
-    reports = {}
-    for decl, op in zip(frag.ops, bound):
-        report = reports.get(decl.name)
-        if report is None:
-            report = reports[decl.name] = is_physical(op, eps)
-        if not report.physical:
-            warnings.warn(
-                f"operator bound to {decl.name!r} is not physical "
-                f"(min eig {report.input_transpose_min_eig:.3e}, "
-                f"trace excess {report.output_trace_excess:.3e})",
-                PhysicalityWarning,
-                stacklevel=4,  # the caller of probability or probability_foliated
-            )
+from .physicality import _nonphysical_bindings, input_transpose
 
 
 def _bind_circuit(
@@ -57,7 +38,9 @@ def _bind_circuit(
         raise NonCircuitTermError(f"fragment has open ports (kind={circuit.kind})")
     bound = resolve_binding(circuit, binding)
     if check_physical:
-        _warn_nonphysical(circuit, bound, eps)
+        for message in _nonphysical_bindings(circuit, bound, eps):
+            # the caller of probability, probability_foliated or p_function
+            warnings.warn(message, PhysicalityWarning, stacklevel=3)
     return bound
 
 
@@ -99,12 +82,19 @@ def probability_foliated(
     that by the transfer matrix back into the first.
     """
     bound = _bind_circuit(circuit, binding, eps, check_physical)
+    return _foliated_probability(circuit, bound, policy)
+
+
+def _foliated_probability(
+    circuit: CircuitFragment, bound: list[LabeledOperator], policy: str
+) -> float:
+    """The foliated route on operators already bound by :func:`_bind_circuit`."""
     _wire_ends(bound)  # the transfer matrices assume each wire's ends agree
     fol = foliate(circuit, policy)
     steps = [op_index for layer in fol.layers for op_index in layer]
 
-    # Relabeling keeps leg order and matrix (see _warn_nonphysical), so one
-    # transfer matrix serves every operation with a given name.
+    # Relabeling keeps leg order and matrix (see _nonphysical_bindings), so
+    # one transfer matrix serves every operation with a given name.
     transfers: dict[str, np.ndarray] = {}
     wire_size: dict[int, int] = {}  # wire id -> d**2, the length of its axis
     size = peak = 1
@@ -211,16 +201,20 @@ def _fragment_signature(frag: CircuitFragment):
     )
 
 
-def p_function(expr: CircuitExpression, binding: Binding, **kwargs) -> float:
+def p_function(
+    expr: CircuitExpression, binding: Binding, eps: float = 1e-9, check_physical: bool = True
+) -> float:
     """Linear extension of probability to sums of circuits."""
     for _, frag in expr.terms:
         if frag.kind != CIRCUIT:
             raise NonCircuitTermError(
                 f"term has open ports (kind={frag.kind}); only circuits carry probabilities"
             )
-    return sum(
-        coeff * probability(frag, binding, **kwargs) for coeff, frag in expr.terms
-    )
+    # binds here, as probability does, so that a warning points at the caller
+    total = 0
+    for coeff, frag in expr.terms:
+        total += coeff * circuit_trace(_bind_circuit(frag, binding, eps, check_physical)).scalar
+    return total
 
 
 def fragment_operator(frag: CircuitFragment, binding: Binding) -> LabeledOperator:

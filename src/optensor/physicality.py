@@ -76,6 +76,29 @@ def is_physical(op: LabeledOperator, eps: float = 1e-9) -> PhysicalityReport:
     return PhysicalityReport(lam >= -eps and excess <= eps, lam, excess, eps)
 
 
+def _nonphysical_bindings(
+    frag: CircuitFragment, bound: Sequence[LabeledOperator], eps: float
+) -> list[str]:
+    """One message per operation whose bound operator is not physical, in order.
+
+    Every operation with one name is bound to the same binding entry, and
+    relabeling keeps its leg order and matrix, so each name is tested once.
+    """
+    reports: dict[str, PhysicalityReport] = {}
+    messages = []
+    for decl, op in zip(frag.ops, bound):
+        report = reports.get(decl.name)
+        if report is None:
+            report = reports[decl.name] = is_physical(op, eps)
+        if not report.physical:
+            messages.append(
+                f"operator bound to {decl.name!r} is not physical "
+                f"(min eig {report.input_transpose_min_eig:.3e}, "
+                f"trace excess {report.output_trace_excess:.3e})"
+            )
+    return messages
+
+
 # ---------------------------------------------------------------------------
 # Definition-side Monte-Carlo check
 
@@ -282,14 +305,9 @@ def alternate_transpose_positivity(
     are transposed on both ends.  The circuit value is evaluated alongside.
     """
     bound = resolve_binding(circuit, binding)
-    for decl, op in zip(circuit.ops, bound):
-        report = is_physical(op, eps)
-        if not report.physical:
-            raise NotApplicableError(
-                f"operator bound to {decl.name!r} is not physical "
-                f"(min eig {report.input_transpose_min_eig:.3e}, "
-                f"trace excess {report.output_trace_excess:.3e})"
-            )
+    nonphysical = _nonphysical_bindings(circuit, bound, eps)
+    if nonphysical:
+        raise NotApplicableError(nonphysical[0])
     fol = foliate(circuit, policy)
     dims = {leg.id: leg.dim for op in bound for leg in op.legs}
     layers: list[LayerMargin] = []

@@ -1,13 +1,14 @@
 """Command-line interface: exit codes, report fields, determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import optensor as ot
-from optensor import Leg, WireLabel
+from optensor import Leg, WireLabel, binding, contraction, physicality
 from optensor.cli import main
 from optensor.notation import INPUT, OUTPUT
 
@@ -27,6 +28,21 @@ def workspace(tmp_path):
     manifest = tmp_path / "binding.txt"
     manifest.write_text("P = prep.json\nR = result.json\n")
     return tmp_path
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Count calls of ``module.name`` made through any optensor namespace."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for held in list(sys.modules.values()):
+        if held.__name__.startswith("optensor") and getattr(held, name, None) is original:
+            monkeypatch.setattr(held, name, counting)
+    return calls
 
 
 def run(capsys, *argv):
@@ -140,6 +156,73 @@ class TestEval:
             "--explain",
         )
         assert code == 0 and "contract 0 1" in out
+
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [
+            (
+                "text",
+                "plan: ['contract 0 1 over [a1] -> dim 1']\n"
+                "peak_dim: 2\n"
+                "probability_tensor: 1.000000000000\n"
+                "probability_foliation: 1.000000000000\n"
+                "difference: 0.000e+00\n",
+            ),
+            (
+                "json",
+                '{\n  "plan": [\n    "contract 0 1 over [a1] -> dim 1"\n  ],\n'
+                '  "peak_dim": 2,\n'
+                '  "probability_tensor": "1.000000000000",\n'
+                '  "probability_foliation": "1.000000000000",\n'
+                '  "difference": "0.000e+00"\n}\n',
+            ),
+        ],
+    )
+    def test_both_explain_output_is_pinned(self, workspace, capsys, fmt, expected):
+        code, out, err = run(
+            capsys,
+            "eval",
+            str(workspace / "pair.circ"),
+            str(workspace / "binding.txt"),
+            "--method",
+            "both",
+            "--explain",
+            "--format",
+            fmt,
+        )
+        assert (code, out, err) == (0, expected, "")
+
+    def test_both_explain_binds_and_plans_once(self, workspace, capsys, monkeypatch):
+        (workspace / "chain.circ").write_text("P^{a1} W_{a1}^{a2} W_{a2}^{a3} R_{a3}\n")
+        wire = ot.identity_transformation(WireLabel("a", 1), WireLabel("a", 2), 2)
+        ot.save(ot.LabeledOperator(wire.legs, 1.5 * wire.matrix), workspace / "wire.json")
+        (workspace / "chain.txt").write_text(
+            "P = prep.json\nW = wire.json\nR = result.json\n"
+        )
+        calls = {
+            name: count_calls(monkeypatch, module, name)
+            for module, name in (
+                (binding, "resolve_binding"),
+                (contraction, "plan_contraction"),
+                (physicality, "is_physical"),
+            )
+        }
+        code, out, err = run(
+            capsys,
+            "eval",
+            str(workspace / "chain.circ"),
+            str(workspace / "chain.txt"),
+            "--method",
+            "both",
+            "--explain",
+        )
+        assert code == 0 and "probability_foliation: 2.250000000000" in out
+        assert err.count("warning: operator bound to 'W' is not physical") == 1
+        assert {name: len(made) for name, made in calls.items()} == {
+            "resolve_binding": 1,
+            "plan_contraction": 1,
+            "is_physical": 3,  # P, W and R
+        }
 
 
 class TestPhysical:

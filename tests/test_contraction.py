@@ -15,7 +15,7 @@ from conftest import mixed_circuits, random_brickwork, random_circuit, random_op
 import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
 from optensor.binding import resolve_binding
-from optensor.contraction import ContractionPlan, PlanStep, _pair_contract
+from optensor.contraction import ContractionPlan, PlanStep
 from optensor.errors import DimMismatchError, LabelArityError
 from optensor.notation import INPUT, OUTPUT
 
@@ -333,7 +333,43 @@ class TestPlanIdentity:
 
 
 # ---------------------------------------------------------------------------
-# The pair-contraction kernel against np.einsum on the same sublists.
+# The pair-contraction kernel against np.einsum on the same sublists.  The
+# kernel and the wire-id subscript rule were the executor's before each plan
+# step carried its own recipe; both are kept verbatim as test references.
+
+
+def _pair_contract(
+    x: np.ndarray,
+    x_subs: Sequence[int],
+    y: np.ndarray,
+    y_subs: Sequence[int],
+    out_subs: Sequence[int],
+) -> np.ndarray:
+    """``np.einsum(x, x_subs, y, y_subs, out_subs)`` as one BLAS matrix product.
+
+    Each symbol appears at most once per operand.  Symbols carried by both
+    operands are summed over and every other symbol appears in ``out_subs``,
+    so the contraction is a ``tensordot`` followed by an axis permutation:
+    an outer product when nothing is shared, a scalar when everything is.
+    """
+    shared = set(x_subs) & set(y_subs)
+    x_axes = [i for i, s in enumerate(x_subs) if s in shared]
+    y_axes = [y_subs.index(x_subs[i]) for i in x_axes]
+    raw = np.tensordot(x, y, axes=(x_axes, y_axes))
+    raw_subs = [s for s in x_subs if s not in shared] + [s for s in y_subs if s not in shared]
+    return raw.transpose([raw_subs.index(s) for s in out_subs])
+
+
+def _subscripts(legs: Sequence) -> list[int]:
+    """Symbols of an operand's ket axes then bra axes, drawn from wire ids.
+
+    A producer's ket is its consumer's bra and vice versa, so the two
+    symbols of a contracted wire appear in both operands and no other
+    symbol repeats.
+    """
+    kets = [2 * leg.id + (leg.role == OUTPUT) for leg in legs]
+    bras = [2 * leg.id + (leg.role != OUTPUT) for leg in legs]
+    return kets + bras
 
 
 def einsum_operands(rng, dims, x_syms, y_syms):
@@ -524,3 +560,63 @@ class TestRawExecutor:
             with pytest.raises(error) as caught:
                 contract(a, b)
             assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Each plan step's recipe against the wire-id subscript rule it replaced.
+
+
+def _einsum_step(x, x_legs, y, y_legs, legs):
+    """One step as ``np.einsum`` under the wire-id subscript rule."""
+    x_subs, y_subs, out_subs = _subscripts(x_legs), _subscripts(y_legs), _subscripts(legs)
+    compact = {s: n for n, s in enumerate(dict.fromkeys(x_subs + y_subs))}
+    return np.einsum(
+        x, [compact[s] for s in x_subs],
+        y, [compact[s] for s in y_subs],
+        [compact[s] for s in out_subs],
+    )
+
+
+class TestPlanRecipe:
+    def test_every_step_matches_einsum_under_wire_id_subscripts(self, rng):
+        for ops in executor_cases(rng):
+            for planner in (ot.plan_contraction, ot.plan_left_to_right):
+                plan = planner(ops)
+                operands = {i: (op.tensor(), op.legs) for i, op in enumerate(ops)}
+                for n, step in enumerate(plan.steps):
+                    x, x_legs = operands.pop(step.left)
+                    y, y_legs = operands.pop(step.right)
+                    ids_x, ids_y = {leg.id for leg in x_legs}, {leg.id for leg in y_legs}
+                    legs = tuple(leg for leg in x_legs if leg.id not in ids_y) + tuple(
+                        leg for leg in y_legs if leg.id not in ids_x
+                    )
+                    if n == len(plan.steps) - 1:  # the last step also reorders
+                        assert sorted(plan.result_legs, key=str) == sorted(legs, key=str)
+                        legs = plan.result_legs
+                    axes, perm = step.recipe
+                    got = np.tensordot(x, y, axes).transpose(perm)
+                    want = _einsum_step(x, x_legs, y, y_legs, legs)
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+                    operands[step.result_index] = (got, legs)
+                ((_, legs),) = operands.values()
+                assert legs == plan.result_legs
+
+    def test_result_legs_follow_the_operand_scan(self, rng):
+        for ops in executor_cases(rng):
+            open_ids = {leg.id for leg in ot.circuit_trace(ops).legs}
+            scan = tuple(leg for op in ops for leg in op.legs if leg.id in open_ids)
+            assert ot.plan_contraction(ops).result_legs == scan
+            assert ot.plan_left_to_right(ops).operand_legs == tuple(op.legs for op in ops)
+
+    def test_plan_for_other_operands_raises(self, rng):
+        for ops in executor_cases(rng):
+            plan = ot.plan_contraction(ops)
+            shift = {leg.id: leg.id + 1000 for op in ops for leg in op.legs}
+            others = [ops[:-1], [op.relabeled(shift) for op in ops]]
+            if [op.legs for op in ops[::-1]] != [op.legs for op in ops]:
+                others.append(ops[::-1])
+            for other in others:
+                with pytest.raises(ValueError, match="plan was built for operands with other legs"):
+                    ot.execute_plan(other, plan)
+                ot.execute_plan(other, ot.plan_contraction(other))

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
-from optensor.binding import Binding, resolve_binding
-from optensor.contraction import _pair_contract
-from optensor.errors import NonCircuitTermError
-from optensor.evaluator import _hermitian_basis, _transfer_matrix, _warn_nonphysical
-from optensor.notation import CIRCUIT, INPUT, OUTPUT, CircuitFragment, foliate
+from optensor.binding import Binding
+from optensor.evaluator import _bind_circuit, _hermitian_basis, _transfer_matrix
+from optensor.notation import INPUT, OUTPUT, CircuitFragment, foliate
 from optensor.physicality import input_transpose
 from conftest import mixed_circuits, random_brickwork, random_circuit, random_open_fragment
+from test_contraction import _pair_contract
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -87,7 +86,7 @@ class TestProbability:
     def test_reused_nonphysical_gate_checked_once_warned_per_operation(self, monkeypatch):
         import warnings
 
-        from optensor import evaluator
+        from optensor import physicality
 
         frag = ot.parse_circuit("P^{a1} W_{a1}^{a2} W_{a2}^{a3} W_{a3}^{a4} R_{a4}")
         wire = ot.identity_transformation(WireLabel("a", 1), WireLabel("a", 2), 2)
@@ -102,7 +101,7 @@ class TestProbability:
             checked.append(op)
             return ot.is_physical(op, eps)
 
-        monkeypatch.setattr(evaluator, "is_physical", counting_is_physical)
+        monkeypatch.setattr(physicality, "is_physical", counting_is_physical)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             value = ot.probability(frag, binding)
@@ -115,6 +114,21 @@ class TestProbability:
             f"trace excess {report.output_trace_excess:.3e})"
         ] * 3
         assert value == pytest.approx(1.5**3)
+
+    def test_physicality_warning_points_at_the_caller(self):
+        frag = ot.parse_circuit("P^{a1} R_{a1}")
+        binding = {
+            "P": ot.identity_preparation(WireLabel("a", 1), 2),
+            "R": LabeledOperator((Leg("a", 1, INPUT, 2),), P0),
+        }
+        expr = ot.CircuitExpression(((1.0, frag),))
+        for evaluate in (ot.probability, ot.probability_foliated):
+            with pytest.warns(ot.PhysicalityWarning) as caught:
+                evaluate(frag, binding)
+            assert [w.filename for w in caught] == [__file__]
+        with pytest.warns(ot.PhysicalityWarning) as caught:
+            ot.p_function(expr, binding)
+        assert [w.filename for w in caught] == [__file__]
 
     def test_medium_circuit_matches_foliated(self, rng):
         frag, binding = medium_binding(rng, {"a": 2, "b": 2, "c": 2, "d": 2})
@@ -418,7 +432,8 @@ def test_ten_qubit_brickwork_routes_agree(rng):
 
 # ---------------------------------------------------------------------------
 # The real-coefficient foliated route against the complex one it replaced.
-# The reference is kept verbatim apart from its name and docstring.
+# The reference is kept verbatim apart from its name and docstring, and its
+# bind step, which it shares with the route under test.
 
 
 def _reference_foliated(
@@ -430,14 +445,10 @@ def _reference_foliated(
 ) -> float:
     """The complex foliated route: the state holds ket and bra axes per
     live wire and each operation contracts its Choi tensor into it."""
-    if circuit.kind != CIRCUIT:
-        raise NonCircuitTermError(f"fragment has open ports (kind={circuit.kind})")
-    bound = resolve_binding(circuit, binding)
-    if check_physical:
-        _warn_nonphysical(circuit, bound, eps)
+    bound = _bind_circuit(circuit, binding, eps, check_physical)
     fol = foliate(circuit, policy)
 
-    # Relabeling keeps leg order and matrix (see _warn_nonphysical), so one
+    # Relabeling keeps leg order and matrix (see _nonphysical_bindings), so one
     # Choi tensor serves every operation with a given name.
     chois: dict[str, np.ndarray] = {}
     live: list[int] = []  # wire ids carried by the state, in axis order

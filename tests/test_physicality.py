@@ -284,6 +284,39 @@ class TestAlternateTranspose:
         with pytest.raises(ot.NotApplicableError):
             ot.alternate_transpose_positivity(frag, binding)
 
+    def test_reused_names_checked_once_and_message_shared(self, rng, monkeypatch):
+        from optensor import physicality
+
+        frag = ot.parse_circuit("P^{a1} W_{a1}^{a2} W_{a2}^{a3} R_{a3}")
+        wire = ot.identity_transformation(WireLabel("a", 1), WireLabel("a", 2), 2)
+        binding = {
+            "P": ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng),
+            "W": wire,
+            "R": ot.random_result([Leg("a", 1, INPUT, 2)], rng),
+        }
+        checked = []
+
+        def counting_is_physical(op, eps):
+            checked.append(op)
+            return ot.is_physical(op, eps)
+
+        monkeypatch.setattr(physicality, "is_physical", counting_is_physical)
+        ot.alternate_transpose_positivity(frag, binding)
+        assert len(checked) == 3
+        binding["W"] = LabeledOperator(wire.legs, 1.5 * wire.matrix)  # output trace 1.5 I
+        with pytest.warns(ot.PhysicalityWarning) as caught:
+            ot.probability(frag, binding)
+        with pytest.raises(ot.NotApplicableError) as raised:
+            ot.alternate_transpose_positivity(frag, binding)
+        report = ot.is_physical(binding["W"])
+        message = (
+            f"operator bound to 'W' is not physical "
+            f"(min eig {report.input_transpose_min_eig:.3e}, "
+            f"trace excess {report.output_trace_excess:.3e})"
+        )
+        assert str(raised.value) == message
+        assert [str(w.message) for w in caught] == [message] * 2
+
     def test_random_circuits_all_layers_positive(self, rng):
         for _ in range(10):
             frag, binding = random_circuit(rng, max_ops=6)
