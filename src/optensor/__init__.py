@@ -88,7 +88,6 @@ from .notation import (
 from .operators import (
     LabeledOperator,
     Leg,
-    allclose,
     dumps,
     from_json_dict,
     haar_state,

@@ -210,11 +210,7 @@ def cmd_reconstruct(args) -> int:
     dt = _parse_file(
         args.duotensor, "duotensor", lambda text: duo.duotensor_from_json_dict(json.loads(text))
     )
-    legs = tuple(
-        operators.Leg(ix.sys, ix.id, ix.role, ix.dim) for ix in dt.indices
-    )
-    fsets = duo.default_fiducials_for(legs)
-    op = duo.reconstruct(dt, fsets, legs=legs)
+    op = duo.reconstruct(dt, duo.default_fiducials_for(dt.indices))
     if args.output:
         with _writing():
             operators.save(op, args.output)

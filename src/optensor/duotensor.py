@@ -31,6 +31,7 @@ from .errors import (
 from .notation import INPUT, OUTPUT, SystemType, WireLabel
 from .operators import Leg, LabeledOperator, identity_transformation
 from .operators import from_json_dict, to_json_dict
+from .physicality import is_physical
 
 BLACK = "black"
 WHITE = "white"
@@ -110,14 +111,10 @@ def make_fiducials(
         raise SingularBasisError(f"need {k} preps and results for {sys_type.name}")
     if _span_rank(preps) < k or _span_rank(results) < k:
         raise SingularBasisError(f"fiducials for {sys_type.name} do not span")
-    for prep in preps:
-        eigs = np.linalg.eigvalsh(prep.matrix)
-        if eigs[0] < -tol or float(np.trace(prep.matrix).real) > 1 + tol:
-            raise SingularBasisError("fiducial preparation is not physical")
-    for result in results:
-        eigs = np.linalg.eigvalsh(result.matrix)
-        if eigs[0] < -tol or eigs[-1] > 1 + tol:
-            raise SingularBasisError("fiducial result is not physical")
+    if not all(is_physical(prep, tol) for prep in preps):
+        raise SingularBasisError("fiducial preparation is not physical")
+    if not all(is_physical(result, tol) for result in results):
+        raise SingularBasisError("fiducial result is not physical")
     metric = compute_hopping_metric(preps, results)
     if metric.min() < -1e-12 or metric.max() > 1 + 1e-12:
         raise SingularMetricError("metric entries must be probabilities")

@@ -227,8 +227,11 @@ def partial_transpose(op: LabeledOperator, over: Iterable[WireLabel | Leg | int]
     for i, leg in enumerate(op.legs):
         if leg.id in ids:
             axes[i], axes[k + i] = axes[k + i], axes[i]
-    tensor = op.tensor().transpose(axes)
-    return LabeledOperator(op.legs, tensor.reshape(op.dim, op.dim), op.tol)
+    # only moves entries, and each Hermitian-partner pair onto another such
+    # pair: the result is still exactly Hermitian and finite
+    matrix = op.tensor().transpose(axes).reshape(op.dim, op.dim)
+    matrix.setflags(write=False)
+    return LabeledOperator._from_valid(op.legs, matrix, op.tol)
 
 
 def min_eigenvalue(op: LabeledOperator) -> float:
@@ -264,15 +267,7 @@ def identity_transformation(in_wire: WireLabel, out_wire: WireLabel, dim: int) -
     Its matrix is the SWAP between the input and output factors,
     ``sum_ij |j><i| (x) |i><j|``.
     """
-    swap = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            swap[j * dim + i, i * dim + j] = 1.0
-    legs = (
-        Leg(in_wire.sys, in_wire.id, INPUT, dim),
-        Leg(out_wire.sys, out_wire.id, OUTPUT, dim),
-    )
-    return LabeledOperator(legs, swap)
+    return unitary_channel(np.eye(dim), in_wire, out_wire)
 
 
 def projector(vector: np.ndarray) -> np.ndarray:
@@ -466,15 +461,3 @@ def load(path, tol: float = DEFAULT_TOL) -> LabeledOperator:
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read(), tol)
 
-
-def allclose(a: LabeledOperator, b: LabeledOperator, atol: float = 1e-10) -> bool:
-    """Entrywise comparison after aligning b's leg order to a's."""
-    if sorted(a.ids) != sorted(b.ids):
-        return False
-    b = b.permuted(a.ids)
-    if any(
-        (la.sys, la.role, la.dim) != (lb.sys, lb.role, lb.dim)
-        for la, lb in zip(a.legs, b.legs)
-    ):
-        return False
-    return bool(np.max(np.abs(a.matrix - b.matrix)) <= atol) if a.dim else True

@@ -34,7 +34,6 @@ from .operators import (
     Leg,
     _require_unitary,
     identity_transformation,
-    max_eigenvalue,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
@@ -69,10 +68,8 @@ class PhysicalityReport:
 def is_physical(op: LabeledOperator, eps: float = 1e-9) -> PhysicalityReport:
     """Spectral physicality test with both margins reported."""
     lam = min_eigenvalue(input_transpose(op))
-    traced = output_trace(op)
-    excess = max_eigenvalue(
-        LabeledOperator(traced.legs, traced.matrix - np.eye(traced.dim), traced.tol)
-    )
+    traced = output_trace(op).matrix
+    excess = float(np.linalg.eigvalsh(traced - np.eye(len(traced)))[-1])
     return PhysicalityReport(lam >= -eps and excess <= eps, lam, excess, eps)
 
 
@@ -112,15 +109,6 @@ class SandwichReport:
     ancilla_dims: tuple[int, ...]
 
 
-def _inout_tensor(op: LabeledOperator) -> tuple[np.ndarray, int, int]:
-    """Matrix permuted to inputs-then-outputs, reshaped (Nin, Nout, Nin, Nout)."""
-    order = [l.id for l in op.input_legs] + [l.id for l in op.output_legs]
-    arranged = op.permuted(order)
-    nin = math.prod(l.dim for l in op.input_legs)
-    nout = math.prod(l.dim for l in op.output_legs)
-    return arranged.matrix.reshape(nin, nout, nin, nout), nin, nout
-
-
 def _haar_batch(rng: np.random.Generator, n: int, rows: int, cols: int) -> np.ndarray:
     v = rng.standard_normal((n, rows * cols)) + 1j * rng.standard_normal((n, rows * cols))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -144,14 +132,16 @@ def sandwich_check(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    tensor, nin, nout = _inout_tensor(op)
+    in_legs, out_legs = op.input_legs, op.output_legs
+    nin = math.prod(l.dim for l in in_legs)
+    nout = math.prod(l.dim for l in out_legs)
+    arranged = op.permuted([l.id for l in in_legs] + [l.id for l in out_legs])
     if ancilla_dims is None:
         ancilla_dims = (1, nin, nin * nin)
     dims = tuple(dict.fromkeys(max(1, int(g)) for g in ancilla_dims))
     rng = np.random.default_rng(seed)
-    trace_out = np.einsum(tensor, [0, 1, 2, 1], [0, 2])
-    # realigned[(i, y), (I, Y)] = tensor[I, y, i, Y]
-    realigned = tensor.transpose(2, 1, 0, 3).reshape(nin * nout, nin * nout)
+    trace_out = output_trace(arranged).matrix
+    choi = input_transpose(arranged).matrix  # rows and columns (in, out)
     min_sandwich = math.inf
     max_trace = -math.inf
     for g in dims:
@@ -160,7 +150,7 @@ def sandwich_check(
         # value of  prep . op . result  for every sample at once; the
         # ancilla is traced out first, pairing each sample's prep and result
         pair = np.matmul(alpha, gamma.conj().transpose(0, 2, 1)).reshape(samples, -1)
-        vals = ((pair @ realigned) * pair.conj()).sum(axis=1)
+        vals = ((pair @ choi) * pair.conj()).sum(axis=1)
         trace_vals = (alpha.conj() * (trace_out @ alpha)).sum(axis=(1, 2))
         min_sandwich = min(min_sandwich, float(vals.real.min()))
         max_trace = max(max_trace, float(trace_vals.real.max()))
@@ -203,8 +193,7 @@ def witness_nonphysical(op: LabeledOperator, eps: float = 1e-9) -> Witness:
     anc = _fresh_ancilla_id(op)
 
     if report.input_transpose_min_eig < -eps:
-        order = [l.id for l in in_legs] + [l.id for l in out_legs]
-        choi = partial_transpose(op.permuted(order), [l.id for l in in_legs])
+        choi = input_transpose(op.permuted([l.id for l in in_legs] + [l.id for l in out_legs]))
         w, v = np.linalg.eigh(choi.matrix)
         vec = v[:, 0].reshape(nin, -1)  # (in, out) components
         alpha = np.eye(nin) / math.sqrt(nin)

@@ -10,6 +10,7 @@ from optensor import (
     OperationDecl,
     WireLabel,
     fragment_from_ops,
+    identity_result,
     parse_circuit,
     random_physical_transformation,
     random_preparation,
@@ -17,6 +18,30 @@ from optensor import (
     scalar_operator,
 )
 from optensor.notation import INPUT, OUTPUT
+
+
+DIMS = {"a": 2, "b": 3}  # qubit and qutrit wire types
+
+# (input types, output types): qubit, qutrit and mixed legs, prep-only and
+# result-only operators
+SIGNATURES = [
+    (("a",), ("a",)),
+    (("b",), ("b",)),
+    (("a", "b"), ("b",)),
+    (("a", "a"), ("a", "a")),
+    ((), ("a", "b")),
+    (("b",), ()),
+]
+
+
+def signature_op(ins, outs, seed):
+    in_legs = [Leg(t, i + 1, INPUT, DIMS[t]) for i, t in enumerate(ins)]
+    out_legs = [Leg(t, len(ins) + i + 1, OUTPUT, DIMS[t]) for i, t in enumerate(outs)]
+    if not in_legs:
+        return random_preparation(out_legs, seed)
+    if not out_legs:
+        return random_result(in_legs, seed)
+    return random_physical_transformation(in_legs, out_legs, seed)
 
 
 @pytest.fixture
@@ -96,6 +121,72 @@ def random_circuit(
     while live:
         add_result(min(len(live), 2))
     assert len(decls) <= max_ops
+    return fragment_from_ops(decls), binding
+
+
+def random_dag(rng: np.random.Generator, n_ops: int, max_width: int):
+    """A closed circuit of exactly ``n_ops`` operations plus a physical binding.
+
+    Unlike :func:`random_circuit`, it runs for as long as asked: it keeps a
+    pool of at most ``max_width`` live qubit (``a``) and qutrit (``b``)
+    wires, opened by ``max_width`` preparations at the start.  Trace
+    preserving channels take one or two live wires to one or two fresh wires
+    of either type, so many change a wire's dimension, and mid-circuit
+    results discard a wire with the identity result.  Each signature has at
+    most two names, reused all through the circuit.  Random results close
+    the wires still live at the end, which keeps the probability far from
+    underflow.
+    """
+    decls: list[OperationDecl] = []
+    binding = {}
+    live: list[WireLabel] = []
+    next_id = 1
+
+    def legs(wires, role: str) -> list[Leg]:
+        return [Leg(w.sys, w.id, role, DIMS[w.sys]) for w in wires]
+
+    def add(kind: str, ins: list[WireLabel], out_types: str, make):
+        nonlocal next_id
+        outs = [WireLabel(t, next_id + k) for k, t in enumerate(out_types)]
+        next_id += len(outs)
+        in_types = "".join(w.sys for w in ins)
+        name = f"{kind}{in_types}x{out_types}{rng.integers(2)}"
+        decls.append(OperationDecl(name, tuple(ins), tuple(outs)))
+        if name not in binding:
+            binding[name] = make(legs(ins, INPUT), legs(outs, OUTPUT))
+        live.extend(outs)
+
+    def take(k: int) -> list[WireLabel]:
+        picks = sorted(rng.choice(len(live), size=k, replace=False), reverse=True)
+        return [live.pop(i) for i in picks]
+
+    def types(m: int) -> str:
+        return "".join("ab"[i] for i in rng.integers(2, size=m))
+
+    def discard(in_legs, out_legs):
+        (leg,) = in_legs
+        return identity_result(leg.wire, leg.dim)
+
+    for _ in range(min(max_width, n_ops // 2)):
+        add("P", [], types(1), lambda in_legs, out_legs: random_preparation(out_legs, rng))
+    # each operation adds one to len(decls) + len(live), and closing the
+    # live wires at the end adds the rest, so stop at n_ops exactly
+    while len(decls) + len(live) < n_ops:
+        if len(live) > 1 and rng.integers(4) == 0:
+            add("D", take(1), "", discard)
+            continue
+        growth = min(max_width - len(live), n_ops - len(decls) - len(live) - 1)
+        ins = take(int(rng.integers(1, min(2, len(live)) + 1)))
+        add(
+            "T",
+            ins,
+            types(int(rng.integers(1, min(2, len(ins) + growth) + 1))),
+            lambda in_legs, out_legs: random_physical_transformation(
+                in_legs, out_legs, rng, trace_preserving=True
+            ),
+        )
+    while live:
+        add("R", take(1), "", lambda in_legs, _: random_result(in_legs, rng))
     return fragment_from_ops(decls), binding
 
 

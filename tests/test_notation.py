@@ -28,7 +28,7 @@ from optensor import (
     random_result,
 )
 from optensor.notation import INPUT, OUTPUT, Foliation, PaddingIdentity
-from conftest import random_brickwork, random_circuit
+from conftest import random_brickwork, random_circuit, random_dag
 
 MEDIUM = "A^{a1 b2} B^{a3 d4} C_{b2 a3}^{a5} D_{a1}^{b6} E_{a5 d4}^{c7} F_{b6 c7}"
 
@@ -414,23 +414,44 @@ def test_closed_chain_causal_pairs_are_all_forward_pairs(rng):
     _assert_routes_agree(frag, binding)
 
 
-def test_long_brickwork_causal_count_matches_bfs():
-    frag, binding = random_brickwork(np.random.default_rng(7), width=4, depth=500)
-    assert len(frag.ops) == 758
-    _assert_routes_agree(frag, binding)
-    unmeasured = fragment_from_ops(op for op in frag.ops if op.outputs)
+def _bfs_pair_count(frag: CircuitFragment) -> int:
+    """Size of the causal relation, by a breadth-first search from each operation."""
     succ: dict[int, set[int]] = {}
-    for w in unmeasured.internal_wires:
+    for w in frag.internal_wires:
         succ.setdefault(w.producer, set()).add(w.consumer)
-    expected = 0
-    for i, op in enumerate(unmeasured.ops):
+    count = 0
+    for i, op in enumerate(frag.ops):
         seen: set[int] = set()
         frontier = {i}
         while frontier:
             frontier = {s for j in frontier for s in succ.get(j, ())} - seen
             seen |= frontier
-        expected += len(op.outputs) * sum(len(unmeasured.ops[j].inputs) for j in seen)
-    assert len(causal_structure(unmeasured).pairs) == expected
+        count += len(op.outputs) * sum(len(frag.ops[j].inputs) for j in seen)
+    return count
+
+
+def test_long_brickwork_causal_count_matches_bfs():
+    frag, binding = random_brickwork(np.random.default_rng(7), width=4, depth=500)
+    assert len(frag.ops) == 758
+    _assert_routes_agree(frag, binding)
+    unmeasured = fragment_from_ops(op for op in frag.ops if op.outputs)
+    assert len(causal_structure(unmeasured).pairs) == _bfs_pair_count(unmeasured)
+
+
+def test_thousand_op_random_dag():
+    """Mixed qubits and qutrits, dimension-changing channels and reused names."""
+    frag, binding = random_dag(np.random.default_rng(5), n_ops=1000, max_width=4)
+    assert len(frag.ops) == 1000 and frag.kind == "circuit"
+    assert {w.label.sys for w in frag.internal_wires} == {"a", "b"}
+    assert any(
+        {w.sys for w in op.inputs} != {w.sys for w in op.outputs}
+        for op in frag.ops
+        if op.inputs and op.outputs
+    )
+    assert len({op.name for op in frag.ops}) < 100
+    assert probability(frag, binding) > 1e-3  # far from underflow
+    _assert_routes_agree(frag, binding)
+    assert len(causal_structure(frag).pairs) == _bfs_pair_count(frag)
 
 
 def test_parse_registry():

@@ -1,6 +1,8 @@
 """Physicality: spectral test, sandwich sampling, witnesses, complete sets,
 alternate-transpose layer positivity, and unitary transformations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,15 @@ from optensor.notation import INPUT, OUTPUT
 from conftest import random_circuit
 
 PHI_PLUS = 0.5 * np.outer([1, 0, 0, 1], [1, 0, 0, 1])
+
+
+def _inout_tensor(op: LabeledOperator) -> tuple[np.ndarray, int, int]:
+    """Matrix permuted to inputs-then-outputs, reshaped (Nin, Nout, Nin, Nout)."""
+    order = [l.id for l in op.input_legs] + [l.id for l in op.output_legs]
+    arranged = op.permuted(order)
+    nin = math.prod(l.dim for l in op.input_legs)
+    nout = math.prod(l.dim for l in op.output_legs)
+    return arranged.matrix.reshape(nin, nout, nin, nout), nin, nout
 
 
 def pt_entangled_prep():
@@ -145,7 +156,7 @@ class TestSandwichCheck:
 
 def _reference_sandwich_check(op, ancilla_dims, samples, seed, eps=1e-9):
     """sandwich_check as one five-operand einsum per ancilla dim, same draws."""
-    from optensor.physicality import _haar_batch, _inout_tensor
+    from optensor.physicality import _haar_batch
 
     tensor, nin, nout = _inout_tensor(op)
     dims = tuple(dict.fromkeys(max(1, int(g)) for g in ancilla_dims))

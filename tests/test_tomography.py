@@ -13,8 +13,10 @@ from optensor.cli import main
 from optensor.contraction import circuit_trace
 from optensor.duotensor import _fiducial_stack
 from optensor.notation import INPUT, OUTPUT
-from optensor.physicality import _haar_batch, _inout_tensor
+from optensor.physicality import _haar_batch
 from optensor.tomography import _stream_states
+from conftest import SIGNATURES, signature_op
+from test_physicality import _inout_tensor
 
 
 @pytest.fixture(scope="module")
@@ -166,30 +168,6 @@ def reference_probe(hidden, fsets):
     for setting in np.ndindex(*shape):
         data[setting] = _fiducial_circuit_value(hidden, setting, fsets)
     return data
-
-
-DIMS = {"a": 2, "b": 3}
-
-# (input types, output types): qubit, qutrit and mixed legs, prep-only and
-# result-only operators
-SIGNATURES = [
-    (("a",), ("a",)),
-    (("b",), ("b",)),
-    (("a", "b"), ("b",)),
-    (("a", "a"), ("a", "a")),
-    ((), ("a", "b")),
-    (("b",), ()),
-]
-
-
-def signature_op(ins, outs, seed):
-    in_legs = [Leg(t, i + 1, INPUT, DIMS[t]) for i, t in enumerate(ins)]
-    out_legs = [Leg(t, len(ins) + i + 1, OUTPUT, DIMS[t]) for i, t in enumerate(outs)]
-    if not in_legs:
-        return ot.random_preparation(out_legs, seed)
-    if not out_legs:
-        return ot.random_result(in_legs, seed)
-    return ot.random_physical_transformation(in_legs, out_legs, seed)
 
 
 def rotated_fiducials(fset, seed):
