@@ -57,7 +57,9 @@ from .errors import (
     ZeroFragmentError,
 )
 from .evaluator import (
+    AlternateTransposeReport,
     CircuitExpression,
+    alternate_transpose_positivity,
     formalism_locality_ratio,
     fragment_operator,
     p_function,
@@ -113,11 +115,9 @@ from .operators import (
     unitary_channel,
 )
 from .physicality import (
-    AlternateTransposeReport,
     PhysicalityReport,
     SandwichReport,
     Witness,
-    alternate_transpose_positivity,
     input_transpose,
     is_complete_set,
     is_physical,

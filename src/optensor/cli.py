@@ -17,9 +17,8 @@ import numpy as np
 
 from . import duotensor as duo
 from . import evaluator, notation, operators, tomography
-from .contraction import execute_plan, plan_contraction
 from .errors import CircuitSyntaxError, WiringError
-from .physicality import _nonphysical_bindings, is_physical, witness_nonphysical
+from .physicality import is_physical, witness_nonphysical
 
 EX_OK = 0
 EX_VALIDATION = 2
@@ -142,17 +141,15 @@ def cmd_eval(args) -> int:
     binding = _load_binding(args.bindings)
     report: dict = {}
     bound = evaluator._bind_circuit(frag, binding, args.eps, check_physical=False)
-    warned = _nonphysical_bindings(frag, bound, args.eps)
-    if args.explain or args.method != "foliation":
-        plan = plan_contraction(bound)
+    warned = bound.nonphysical
     if args.explain:
-        report["plan"] = plan.dump().splitlines()
-        report["peak_dim"] = plan.peak_dim
+        report["plan"] = bound.plan.dump().splitlines()
+        report["peak_dim"] = bound.plan.peak_dim
     if args.method in ("tensor", "both"):
-        tensor = execute_plan(bound, plan).scalar
+        tensor = bound.trace()
         report["probability_tensor"] = f"{tensor:.12f}"
     if args.method in ("foliation", "both"):
-        foliation = evaluator._foliated_probability(frag, bound, "earliest")
+        foliation = bound.foliated("earliest")
         report["probability_foliation"] = f"{foliation:.12f}"
     if args.method == "both":
         report["difference"] = f"{abs(tensor - foliation):.3e}"

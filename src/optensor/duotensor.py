@@ -287,7 +287,10 @@ def reconstruct(
     legs: Sequence[Leg] | None = None,
     tol: float = 1e-10,
 ) -> LabeledOperator:
-    """Weighted sum of tensor products of fiducial operators (all-white input)."""
+    """Weighted sum of tensor products of fiducial operators (all-white input).
+
+    ``legs`` may rename the wire ids; each must match its index otherwise.
+    """
     if any(ix.color != WHITE for ix in dt.indices):
         raise ShapeMismatchError("reconstruct needs the all-white form")
     if legs is None:
@@ -295,6 +298,9 @@ def reconstruct(
     legs = tuple(legs)
     if len(legs) != len(dt.indices):
         raise ShapeMismatchError("leg count does not match index count")
+    for leg, ix in zip(legs, dt.indices):
+        if (leg.sys, leg.role, leg.dim) != (ix.sys, ix.role, ix.dim):
+            raise ShapeMismatchError(f"leg {leg} does not match index {ix}")
     k = len(legs)
     # each leg's fused axis runs over (ket, bra) of its d x d block
     stacks = [_fiducial_stack(fsets, leg) for leg in legs]

@@ -1,10 +1,12 @@
 """Circuit evaluation by both formulations, fragment operators, linear
-combinations of circuits, and the formalism-locality proportionality test.
+combinations of circuits, alternate-transpose positivity, and the
+formalism-locality proportionality test.
 
 ``probability`` contracts bound operators directly (one circuit trace);
 ``probability_foliated`` layers the circuit and evolves an unnormalized
 state through each time step, closing with the result operators.  The two
-must agree on every circuit.
+must agree on every circuit.  Each entry point binds a closed circuit once,
+as a :class:`_BoundCircuit`, and evaluates that.
 """
 
 from __future__ import annotations
@@ -17,28 +19,109 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binding import Binding, resolve_binding
-from .contraction import _wire_ends, circuit_trace
+from .contraction import _wire_ends, circuit_trace, execute_plan, plan_contraction
 from .duotensor import _fiducial_overlaps
 from .errors import (
     NonCircuitTermError,
+    NotApplicableError,
     PhysicalityWarning,
     SignatureMismatchError,
     ZeroFragmentError,
 )
-from .notation import CIRCUIT, INPUT, CircuitFragment, causal_structure, foliate
-from .operators import LabeledOperator
-from .physicality import _nonphysical_bindings, input_transpose
+from .notation import CIRCUIT, INPUT, CircuitFragment, WireLabel, causal_structure, foliate
+from .operators import LabeledOperator, identity_transformation, partial_transpose
+from .physicality import input_transpose, is_physical
+
+
+class _BoundCircuit:
+    """A closed circuit with its operators bound, shared by every route.
+
+    Binding relabels each entry to its declaration, keeping leg order and
+    matrix, so the first operation of each name stands for all of them: the
+    physicality pass and the foliated transfer matrices each work once per
+    name.  The contraction plan is built on first use.
+    """
+
+    def __init__(self, circuit: CircuitFragment, binding: Binding, eps: float):
+        if circuit.kind != CIRCUIT:
+            raise NonCircuitTermError(f"fragment has open ports (kind={circuit.kind})")
+        self.circuit = circuit
+        self.eps = eps
+        self.ops = resolve_binding(circuit, binding)
+        self.first = {}  # name -> (declaration, bound operator) of its first operation
+        for decl, op in zip(circuit.ops, self.ops):
+            self.first.setdefault(decl.name, (decl, op))
+
+    @functools.cached_property
+    def nonphysical(self) -> list[str]:
+        """One message per operation whose bound operator is not physical, in order."""
+        reports = {name: is_physical(op, self.eps) for name, (_, op) in self.first.items()}
+        return [
+            f"operator bound to {decl.name!r} is not physical "
+            f"(min eig {reports[decl.name].input_transpose_min_eig:.3e}, "
+            f"trace excess {reports[decl.name].output_trace_excess:.3e})"
+            for decl in self.circuit.ops
+            if not reports[decl.name].physical
+        ]
+
+    @functools.cached_property
+    def plan(self):
+        """The greedy contraction plan of the bound operators."""
+        return plan_contraction(self.ops)
+
+    def trace(self) -> float:
+        """The circuit trace: the value of the contracted bound operators."""
+        return execute_plan(self.ops, self.plan).scalar
+
+    def foliated(self, policy: str) -> float:
+        """The layered state-evolution value (see :func:`probability_foliated`)."""
+        _wire_ends(self.ops)  # the transfer matrices assume each wire's ends agree
+        decls = self.circuit.ops
+        fol = foliate(self.circuit, policy)
+        steps = [op_index for layer in fol.layers for op_index in layer]
+        transfers = {
+            name: _transfer_matrix(op.permuted([w.id for w in decl.labels]))
+            for name, (decl, op) in self.first.items()
+        }
+        # wire id -> d**2, the length of its axis
+        wire_size = {leg.id: leg.dim**2 for op in self.ops for leg in op.legs}
+        size = peak = 1
+        for op_index in steps:
+            n_in, n_out = transfers[decls[op_index].name].shape
+            size = size // n_in * n_out
+            peak = max(peak, size)
+
+        state, spare = np.empty(peak), np.empty(peak)
+        state[0] = 1.0
+        live: list[int] = []  # wire ids carried by the state, in axis order
+        for op_index in steps:
+            decl = decls[op_index]
+            transfer = transfers[decl.name]
+            consumed = [live.index(w.id) for w in decl.inputs]
+            kept = [i for i in range(len(live)) if i not in consumed]
+            shape = [wire_size[w] for w in live]
+            size = math.prod(shape)
+            np.copyto(
+                spare[:size].reshape([shape[i] for i in kept + consumed]),
+                state[:size].reshape(shape).transpose(kept + consumed),
+            )
+            n_in, n_out = transfer.shape
+            rows = size // n_in
+            out = state[: rows * n_out].reshape(rows, n_out)
+            np.matmul(spare[:size].reshape(rows, n_in), transfer, out=out)
+            live = [live[i] for i in kept] + [w.id for w in decl.outputs]
+        if live:
+            raise AssertionError("open wires remained after the final layer")
+        return float(state[0])
 
 
 def _bind_circuit(
     circuit: CircuitFragment, binding: Binding, eps: float, check_physical: bool
-) -> list[LabeledOperator]:
-    """The bound operators of a closed circuit, warning about non-physical ones."""
-    if circuit.kind != CIRCUIT:
-        raise NonCircuitTermError(f"fragment has open ports (kind={circuit.kind})")
-    bound = resolve_binding(circuit, binding)
+) -> _BoundCircuit:
+    """Bind a closed circuit, warning about non-physical operators."""
+    bound = _BoundCircuit(circuit, binding, eps)
     if check_physical:
-        for message in _nonphysical_bindings(circuit, bound, eps):
+        for message in bound.nonphysical:
             # the caller of probability, probability_foliated or p_function
             warnings.warn(message, PhysicalityWarning, stacklevel=3)
     return bound
@@ -55,7 +138,7 @@ def probability(
     Non-physical bindings are evaluated anyway but emit a
     :class:`PhysicalityWarning`.
     """
-    return circuit_trace(_bind_circuit(circuit, binding, eps, check_physical)).scalar
+    return _bind_circuit(circuit, binding, eps, check_physical).trace()
 
 
 def probability_foliated(
@@ -81,56 +164,7 @@ def probability_foliated(
     that the consumed wires come last, into the spare buffer and multiplies
     that by the transfer matrix back into the first.
     """
-    bound = _bind_circuit(circuit, binding, eps, check_physical)
-    return _foliated_probability(circuit, bound, policy)
-
-
-def _foliated_probability(
-    circuit: CircuitFragment, bound: list[LabeledOperator], policy: str
-) -> float:
-    """The foliated route on operators already bound by :func:`_bind_circuit`."""
-    _wire_ends(bound)  # the transfer matrices assume each wire's ends agree
-    fol = foliate(circuit, policy)
-    steps = [op_index for layer in fol.layers for op_index in layer]
-
-    # Relabeling keeps leg order and matrix (see _nonphysical_bindings), so
-    # one transfer matrix serves every operation with a given name.
-    transfers: dict[str, np.ndarray] = {}
-    wire_size: dict[int, int] = {}  # wire id -> d**2, the length of its axis
-    size = peak = 1
-    for op_index in steps:
-        decl, op = circuit.ops[op_index], bound[op_index]
-        transfer = transfers.get(decl.name)
-        if transfer is None:
-            ordered = op.permuted([w.id for w in decl.inputs + decl.outputs])
-            transfer = transfers[decl.name] = _transfer_matrix(ordered)
-        for w in decl.outputs:
-            wire_size[w.id] = op.leg(w.id).dim ** 2
-        size = size // transfer.shape[0] * transfer.shape[1]
-        peak = max(peak, size)
-
-    state, spare = np.empty(peak), np.empty(peak)
-    state[0] = 1.0
-    live: list[int] = []  # wire ids carried by the state, in axis order
-    for op_index in steps:
-        decl = circuit.ops[op_index]
-        transfer = transfers[decl.name]
-        consumed = [live.index(w.id) for w in decl.inputs]
-        kept = [i for i in range(len(live)) if i not in consumed]
-        shape = [wire_size[w] for w in live]
-        size = math.prod(shape)
-        np.copyto(
-            spare[:size].reshape([shape[i] for i in kept + consumed]),
-            state[:size].reshape(shape).transpose(kept + consumed),
-        )
-        n_in, n_out = transfer.shape
-        rows = size // n_in
-        out = state[: rows * n_out].reshape(rows, n_out)
-        np.matmul(spare[:size].reshape(rows, n_in), transfer, out=out)
-        live = [live[i] for i in kept] + [w.id for w in decl.outputs]
-    if live:
-        raise AssertionError("open wires remained after the final layer")
-    return float(state[0])
+    return _bind_circuit(circuit, binding, eps, check_physical).foliated(policy)
 
 
 @functools.lru_cache
@@ -213,7 +247,7 @@ def p_function(
     # binds here, as probability does, so that a warning points at the caller
     total = 0
     for coeff, frag in expr.terms:
-        total += coeff * circuit_trace(_bind_circuit(frag, binding, eps, check_physical)).scalar
+        total += coeff * _bind_circuit(frag, binding, eps, check_physical).trace()
     return total
 
 
@@ -251,3 +285,76 @@ def formalism_locality_ratio(
     if residual > eps * scale:
         return None
     return ratio
+
+
+# ---------------------------------------------------------------------------
+# Alternate-transpose positivity across a foliation
+
+
+@dataclass(frozen=True)
+class LayerMargin:
+    index: int
+    members: tuple[str, ...]
+    min_eig: float
+
+
+@dataclass(frozen=True)
+class AlternateTransposeReport:
+    layers: tuple[LayerMargin, ...]
+    value: float
+    eps: float
+
+    @property
+    def all_positive(self) -> bool:
+        return all(layer.min_eig >= -self.eps for layer in self.layers)
+
+    @property
+    def value_in_unit_interval(self) -> bool:
+        return -self.eps <= self.value <= 1.0 + self.eps
+
+
+def _tensor_spectrum_range(factors: list[tuple[float, float]]) -> tuple[float, float]:
+    """Exact (min, max) eigenvalue of a tensor product from per-factor extremes."""
+    lo, hi = 1.0, 1.0
+    for fmin, fmax in factors:
+        candidates = (lo * fmin, lo * fmax, hi * fmin, hi * fmax)
+        lo, hi = min(candidates), max(candidates)
+    return lo, hi
+
+
+def alternate_transpose_positivity(
+    circuit: CircuitFragment,
+    binding: Binding,
+    eps: float = 1e-9,
+    policy: str = "earliest",
+) -> AlternateTransposeReport:
+    """Foliate a physically bound circuit and check each layer operator is PSD
+    after partial transposes on alternating layer boundaries.
+
+    Operators in even layers (0-based) get their outputs transposed, odd
+    layers their inputs, so exactly the wires crossing alternate boundaries
+    are transposed on both ends.  Identity paddings join their layer after
+    its operations.  The circuit value is evaluated alongside.
+    """
+    bound = _BoundCircuit(circuit, binding, eps)
+    if bound.nonphysical:
+        raise NotApplicableError(bound.nonphysical[0])
+    fol = foliate(circuit, policy)
+    dims = {leg.id: leg.dim for op in bound.ops for leg in op.legs}
+    pads: dict[int, list[WireLabel]] = {}
+    for pad in fol.paddings:
+        pads.setdefault(pad.layer, []).append(pad.wire)
+    layers: list[LayerMargin] = []
+    for k, layer_ops in enumerate(fol.layers):
+        members = [(circuit.ops[i].name, bound.ops[i]) for i in layer_ops]
+        for wire in pads.get(k, ()):
+            ident = identity_transformation(wire, WireLabel(wire.sys, 0), dims[wire.id])
+            members.append((f"pad:{wire}", ident))
+        extremes: list[tuple[float, float]] = []
+        for _, op in members:
+            side = op.output_legs if k % 2 == 0 else op.input_legs
+            spectrum = np.linalg.eigvalsh(partial_transpose(op, [l.id for l in side]).matrix)
+            extremes.append((float(spectrum[0]), float(spectrum[-1])))
+        lo, _ = _tensor_spectrum_range(extremes) if extremes else (0.0, 0.0)
+        layers.append(LayerMargin(k, tuple(name for name, _ in members), lo))
+    return AlternateTransposeReport(tuple(layers), bound.trace(), eps)

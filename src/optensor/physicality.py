@@ -1,6 +1,8 @@
 """Physicality of labeled operators: spectral tests, sandwich sampling,
-witness construction, complete sets, layer-wise positivity, and unitary
-transformations.
+witness construction, complete sets, and unitary transformations.
+
+Every test takes operators on their own; alternate-transpose positivity,
+which binds a whole circuit, lives with evaluation.
 
 An operator is physical iff its input transpose is positive semidefinite and
 its output partial trace is bounded above by the identity.  These are
@@ -15,25 +17,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .binding import Binding, resolve_binding
 from .contraction import circuit_trace
-from .errors import (
-    DimMismatchError,
-    NotApplicableError,
-    SignatureMismatchError,
-)
-from .notation import (
-    INPUT,
-    OUTPUT,
-    CircuitFragment,
-    WireLabel,
-    foliate,
-)
+from .errors import DimMismatchError, NotApplicableError, SignatureMismatchError
+from .notation import INPUT, OUTPUT, WireLabel
 from .operators import (
     LabeledOperator,
     Leg,
     _require_unitary,
-    identity_transformation,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
@@ -71,29 +61,6 @@ def is_physical(op: LabeledOperator, eps: float = 1e-9) -> PhysicalityReport:
     traced = output_trace(op).matrix
     excess = float(np.linalg.eigvalsh(traced - np.eye(len(traced)))[-1])
     return PhysicalityReport(lam >= -eps and excess <= eps, lam, excess, eps)
-
-
-def _nonphysical_bindings(
-    frag: CircuitFragment, bound: Sequence[LabeledOperator], eps: float
-) -> list[str]:
-    """One message per operation whose bound operator is not physical, in order.
-
-    Every operation with one name is bound to the same binding entry, and
-    relabeling keeps its leg order and matrix, so each name is tested once.
-    """
-    reports: dict[str, PhysicalityReport] = {}
-    messages = []
-    for decl, op in zip(frag.ops, bound):
-        report = reports.get(decl.name)
-        if report is None:
-            report = reports[decl.name] = is_physical(op, eps)
-        if not report.physical:
-            messages.append(
-                f"operator bound to {decl.name!r} is not physical "
-                f"(min eig {report.input_transpose_min_eig:.3e}, "
-                f"trace excess {report.output_trace_excess:.3e})"
-            )
-    return messages
 
 
 # ---------------------------------------------------------------------------
@@ -243,87 +210,6 @@ def is_complete_set(ops: Sequence[LabeledOperator], eps: float = 1e-9) -> bool:
             return False
     total = sum(output_trace(op).matrix for op in ops)
     return bool(np.max(np.abs(total - np.eye(total.shape[0]))) <= eps)
-
-
-# ---------------------------------------------------------------------------
-# Alternate-transpose positivity across a foliation
-
-
-@dataclass(frozen=True)
-class LayerMargin:
-    index: int
-    members: tuple[str, ...]
-    min_eig: float
-
-
-@dataclass(frozen=True)
-class AlternateTransposeReport:
-    layers: tuple[LayerMargin, ...]
-    value: float
-    eps: float
-
-    @property
-    def all_positive(self) -> bool:
-        return all(layer.min_eig >= -self.eps for layer in self.layers)
-
-    @property
-    def value_in_unit_interval(self) -> bool:
-        return -self.eps <= self.value <= 1.0 + self.eps
-
-
-def _tensor_spectrum_range(factors: list[tuple[float, float]]) -> tuple[float, float]:
-    """Exact (min, max) eigenvalue of a tensor product from per-factor extremes."""
-    lo, hi = 1.0, 1.0
-    for fmin, fmax in factors:
-        candidates = (lo * fmin, lo * fmax, hi * fmin, hi * fmax)
-        lo, hi = min(candidates), max(candidates)
-    return lo, hi
-
-
-def alternate_transpose_positivity(
-    circuit: CircuitFragment,
-    binding: Binding,
-    eps: float = 1e-9,
-    policy: str = "earliest",
-) -> AlternateTransposeReport:
-    """Foliate a physically bound circuit and check each layer operator is PSD
-    after partial transposes on alternating layer boundaries.
-
-    Operators in even layers (0-based) get their outputs transposed, odd
-    layers their inputs, so exactly the wires crossing alternate boundaries
-    are transposed on both ends.  The circuit value is evaluated alongside.
-    """
-    bound = resolve_binding(circuit, binding)
-    nonphysical = _nonphysical_bindings(circuit, bound, eps)
-    if nonphysical:
-        raise NotApplicableError(nonphysical[0])
-    fol = foliate(circuit, policy)
-    dims = {leg.id: leg.dim for op in bound for leg in op.legs}
-    layers: list[LayerMargin] = []
-    for k, layer_ops in enumerate(fol.layers):
-        members: list[str] = []
-        extremes: list[tuple[float, float]] = []
-        for op_index in layer_ops:
-            op = bound[op_index]
-            side = op.output_legs if k % 2 == 0 else op.input_legs
-            flipped = partial_transpose(op, [l.id for l in side])
-            spectrum = np.linalg.eigvalsh(flipped.matrix)
-            extremes.append((float(spectrum[0]), float(spectrum[-1])))
-            members.append(circuit.ops[op_index].name)
-        for pad in fol.paddings:
-            if pad.layer != k:
-                continue
-            d = dims[pad.wire.id]
-            ident = identity_transformation(pad.wire, WireLabel(pad.wire.sys, 0), d)
-            side = ident.output_legs if k % 2 == 0 else ident.input_legs
-            flipped = partial_transpose(ident, [l.id for l in side])
-            spectrum = np.linalg.eigvalsh(flipped.matrix)
-            extremes.append((float(spectrum[0]), float(spectrum[-1])))
-            members.append(f"pad:{pad.wire}")
-        lo, _ = _tensor_spectrum_range(extremes) if extremes else (0.0, 0.0)
-        layers.append(LayerMargin(k, tuple(members), lo))
-    value = circuit_trace(bound).scalar
-    return AlternateTransposeReport(tuple(layers), value, eps)
 
 
 # ---------------------------------------------------------------------------

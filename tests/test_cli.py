@@ -45,6 +45,18 @@ def count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def count_bind_plan_check(monkeypatch) -> dict[str, list]:
+    """Count binds, contraction plans and physicality tests, by function name."""
+    return {
+        name: count_calls(monkeypatch, module, name)
+        for module, name in (
+            (binding, "resolve_binding"),
+            (contraction, "plan_contraction"),
+            (physicality, "is_physical"),
+        )
+    }
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -222,6 +234,21 @@ class TestEval:
             "resolve_binding": 1,
             "plan_contraction": 1,
             "is_physical": 3,  # P, W and R
+        }
+
+    @pytest.mark.parametrize("explain", [False, True])
+    @pytest.mark.parametrize("method", ["tensor", "foliation", "both"])
+    def test_binds_once_and_plans_only_when_needed(
+        self, workspace, capsys, monkeypatch, method, explain
+    ):
+        calls = count_bind_plan_check(monkeypatch)
+        argv = ["eval", str(workspace / "pair.circ"), str(workspace / "binding.txt")]
+        code, _, _ = run(capsys, *argv, "--method", method, *["--explain"] * explain)
+        assert code == 0
+        assert {name: len(made) for name, made in calls.items()} == {
+            "resolve_binding": 1,
+            "plan_contraction": 0 if method == "foliation" and not explain else 1,
+            "is_physical": 2,  # P and R
         }
 
 

@@ -162,6 +162,21 @@ class TestDecompose:
             got = ot.reconstruct(dt, fsets).matrix
             assert np.max(np.abs(got - want.reshape(got.shape))) <= 1e-12
 
+    def test_reconstruct_rejects_legs_unlike_the_indices(self, rng):
+        prep = ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng)
+        fsets = ot.default_fiducials_for(prep)
+        dt = ot.decompose(prep, fsets)
+        moved = ot.reconstruct(dt, fsets, legs=[Leg("a", 5, OUTPUT, 2)])
+        assert moved.legs == (Leg("a", 5, OUTPUT, 2),)
+        assert np.max(np.abs(moved.matrix - prep.matrix)) <= 1e-10
+        for leg in (
+            Leg("a", 1, INPUT, 2),  # would silently rebuild a result operator
+            Leg("b", 1, OUTPUT, 2),
+            Leg("a", 1, OUTPUT, 3),
+        ):
+            with pytest.raises(ot.ShapeMismatchError, match="does not match index"):
+                ot.reconstruct(dt, fsets, legs=[leg])
+
     def test_zero_duotensor_reconstructs_zero(self, qubit_fiducials):
         dt = ot.Duotensor(
             (ot.DuoIndex("a", 1, INPUT, 2, WHITE),), np.zeros(4)

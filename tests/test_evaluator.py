@@ -13,6 +13,7 @@ from optensor.evaluator import _bind_circuit, _hermitian_basis, _transfer_matrix
 from optensor.notation import INPUT, OUTPUT, CircuitFragment, foliate
 from optensor.physicality import input_transpose
 from conftest import mixed_circuits, random_brickwork, random_circuit, random_open_fragment
+from test_cli import count_bind_plan_check
 from test_contraction import _pair_contract
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -86,7 +87,7 @@ class TestProbability:
     def test_reused_nonphysical_gate_checked_once_warned_per_operation(self, monkeypatch):
         import warnings
 
-        from optensor import physicality
+        from optensor import evaluator
 
         frag = ot.parse_circuit("P^{a1} W_{a1}^{a2} W_{a2}^{a3} W_{a3}^{a4} R_{a4}")
         wire = ot.identity_transformation(WireLabel("a", 1), WireLabel("a", 2), 2)
@@ -101,7 +102,7 @@ class TestProbability:
             checked.append(op)
             return ot.is_physical(op, eps)
 
-        monkeypatch.setattr(physicality, "is_physical", counting_is_physical)
+        monkeypatch.setattr(evaluator, "is_physical", counting_is_physical)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             value = ot.probability(frag, binding)
@@ -241,6 +242,22 @@ class TestPFunction:
         expected = 0.3 * ot.probability(frag_a, bind_a, check_physical=False) + \
             0.7 * ot.probability(frag_b, bind_b, check_physical=False)
         assert ot.p_function(expr, binding, check_physical=False) == pytest.approx(expected)
+
+    def test_binds_each_term_once(self, rng, monkeypatch):
+        frag_a, bind_a = random_circuit(rng, max_ops=4)
+        frag_b = ot.parse_circuit("Z1^{q900} Z2_{q900}")
+        bind_b = {
+            "Z1": ot.random_preparation([Leg("q", 900, OUTPUT, 2)], rng),
+            "Z2": ot.random_result([Leg("q", 900, INPUT, 2)], rng),
+        }
+        calls = count_bind_plan_check(monkeypatch)
+        expr = ot.CircuitExpression(((0.3, frag_a), (0.7, frag_b)))
+        ot.p_function(expr, {**bind_a, **bind_b})
+        assert {name: len(made) for name, made in calls.items()} == {
+            "resolve_binding": 2,
+            "plan_contraction": 2,
+            "is_physical": len({decl.name for decl in frag_a.ops}) + 2,
+        }
 
     def test_open_term_rejected(self):
         frag = ot.parse_circuit("P^{a1}")
@@ -445,10 +462,10 @@ def _reference_foliated(
 ) -> float:
     """The complex foliated route: the state holds ket and bra axes per
     live wire and each operation contracts its Choi tensor into it."""
-    bound = _bind_circuit(circuit, binding, eps, check_physical)
+    bound = _bind_circuit(circuit, binding, eps, check_physical).ops
     fol = foliate(circuit, policy)
 
-    # Relabeling keeps leg order and matrix (see _nonphysical_bindings), so one
+    # Relabeling keeps leg order and matrix (see _BoundCircuit), so one
     # Choi tensor serves every operation with a given name.
     chois: dict[str, np.ndarray] = {}
     live: list[int] = []  # wire ids carried by the state, in axis order

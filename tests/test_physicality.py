@@ -10,6 +10,7 @@ import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
 from optensor.notation import INPUT, OUTPUT
 from conftest import random_circuit
+from test_cli import count_bind_plan_check
 
 PHI_PLUS = 0.5 * np.outer([1, 0, 0, 1], [1, 0, 0, 1])
 
@@ -296,7 +297,7 @@ class TestAlternateTranspose:
             ot.alternate_transpose_positivity(frag, binding)
 
     def test_reused_names_checked_once_and_message_shared(self, rng, monkeypatch):
-        from optensor import physicality
+        from optensor import evaluator
 
         frag = ot.parse_circuit("P^{a1} W_{a1}^{a2} W_{a2}^{a3} R_{a3}")
         wire = ot.identity_transformation(WireLabel("a", 1), WireLabel("a", 2), 2)
@@ -311,7 +312,7 @@ class TestAlternateTranspose:
             checked.append(op)
             return ot.is_physical(op, eps)
 
-        monkeypatch.setattr(physicality, "is_physical", counting_is_physical)
+        monkeypatch.setattr(evaluator, "is_physical", counting_is_physical)
         ot.alternate_transpose_positivity(frag, binding)
         assert len(checked) == 3
         binding["W"] = LabeledOperator(wire.legs, 1.5 * wire.matrix)  # output trace 1.5 I
@@ -327,6 +328,55 @@ class TestAlternateTranspose:
         )
         assert str(raised.value) == message
         assert [str(w.message) for w in caught] == [message] * 2
+
+    def test_open_fragment_rejected_before_any_eigensolve(self, rng, monkeypatch):
+        frag = ot.parse_circuit("P^{a1} W_{a1}^{a2}")
+        binding = {
+            "P": ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng),
+            "W": ot.random_physical_transformation(
+                [Leg("a", 1, INPUT, 2)], [Leg("a", 2, OUTPUT, 2)], rng
+            ),
+        }
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(matrix):
+            solves.append(matrix)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        with pytest.raises(ot.NonCircuitTermError):
+            ot.alternate_transpose_positivity(frag, binding)
+        assert solves == []
+
+    def test_binds_once_and_plans_once(self, rng, monkeypatch):
+        frag = ot.parse_circuit("P^{a1} W_{a1}^{a2} W_{a2}^{a3} R_{a3}")
+        binding = {
+            "P": ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng),
+            "W": ot.identity_transformation(WireLabel("a", 1), WireLabel("a", 2), 2),
+            "R": ot.random_result([Leg("a", 1, INPUT, 2)], rng),
+        }
+        calls = count_bind_plan_check(monkeypatch)
+        ot.alternate_transpose_positivity(frag, binding)
+        assert {name: len(made) for name, made in calls.items()} == {
+            "resolve_binding": 1,
+            "plan_contraction": 1,
+            "is_physical": 3,  # P, W and R
+        }
+
+    def test_paddings_join_their_layer_after_its_operations(self, rng):
+        padded = 0
+        for _ in range(10):
+            frag, binding = random_circuit(rng, max_ops=8)
+            for policy in ("earliest", "latest"):
+                fol = ot.foliate(frag, policy)
+                report = ot.alternate_transpose_positivity(frag, binding, policy=policy)
+                for k, layer in enumerate(report.layers):
+                    pads = [f"pad:{pad.wire}" for pad in fol.paddings if pad.layer == k]
+                    names = [frag.ops[i].name for i in fol.layers[k]]
+                    assert list(layer.members) == names + pads
+                    padded += len(pads)
+        assert padded > 0
 
     def test_random_circuits_all_layers_positive(self, rng):
         for _ in range(10):
