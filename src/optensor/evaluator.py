@@ -91,25 +91,48 @@ class _BoundCircuit:
             size = size // n_in * n_out
             peak = max(peak, size)
 
-        state, spare = np.empty(peak), np.empty(peak)
+        try:
+            state, spare = np.empty(peak), np.empty(peak)
+        except (ValueError, MemoryError) as exc:
+            raise NotApplicableError(
+                f"the foliated state under policy {policy!r} needs {peak} coefficients, "
+                f"{16 * peak} bytes in two float64 buffers, which cannot be allocated"
+            ) from exc
         state[0] = 1.0
         live: list[int] = []  # wire ids carried by the state, in axis order
         for op_index in steps:
             decl = decls[op_index]
             transfer = transfers[decl.name]
+            n_in, n_out = transfer.shape
             consumed = [live.index(w.id) for w in decl.inputs]
-            kept = [i for i in range(len(live)) if i not in consumed]
+            # the consumed wires, in declaration order, form the block
+            # live[start:stop]; a preparation's empty block is at the end
+            start = min(consumed, default=len(live))
+            stop = start + len(consumed)
             shape = [wire_size[w] for w in live]
             size = math.prod(shape)
-            np.copyto(
-                spare[:size].reshape([shape[i] for i in kept + consumed]),
-                state[:size].reshape(shape).transpose(kept + consumed),
-            )
-            n_in, n_out = transfer.shape
-            rows = size // n_in
-            out = state[: rows * n_out].reshape(rows, n_out)
-            np.matmul(spare[:size].reshape(rows, n_in), transfer, out=out)
-            live = [live[i] for i in kept] + [w.id for w in decl.outputs]
+            if consumed != list(range(start, stop)):
+                order = [*range(start), *consumed]
+                order += [i for i in range(start, len(live)) if i not in consumed]
+                np.copyto(
+                    spare[:size].reshape([shape[i] for i in order]),
+                    state[:size].reshape(shape).transpose(order),
+                )
+                state, spare = spare, state
+                live = [live[i] for i in order]
+                shape = [shape[i] for i in order]
+            rows, cols = math.prod(shape[:start]), math.prod(shape[stop:])
+            out = spare[: rows * n_out * cols]
+            if cols == 1:
+                np.matmul(state[:size].reshape(rows, n_in), transfer, out=out.reshape(rows, n_out))
+            else:
+                np.matmul(
+                    transfer.T,
+                    state[:size].reshape(rows, n_in, cols),
+                    out=out.reshape(rows, n_out, cols),
+                )
+            state, spare = spare, state
+            live[start:stop] = [w.id for w in decl.outputs]
         if live:
             raise AssertionError("open wires remained after the final layer")
         return float(state[0])
@@ -160,9 +183,15 @@ def probability_foliated(
     padding.
 
     A pre-pass finds the largest state, and the state then moves between
-    two flat buffers of that size: each operation copies it, permuted so
-    that the consumed wires come last, into the spare buffer and multiplies
-    that by the transfer matrix back into the first.
+    two flat buffers of that size, its wire axes staying in place: an
+    operation's outputs replace its consumed wires as one block at the first
+    of them, and a preparation appends its wires.  Each operation is one
+    matrix product of the transfer matrix with the middle axis of the
+    ``(L, n_in, R)`` view of the state, into the spare buffer, after which
+    the buffers swap roles.  The state is permuted first, by one copy into
+    the spare buffer, only when the consumed wires are not adjacent and in
+    declaration order.  A state too large to allocate raises
+    :class:`NotApplicableError`.
     """
     return _bind_circuit(circuit, binding, eps, check_physical).foliated(policy)
 
@@ -335,6 +364,10 @@ def alternate_transpose_positivity(
     layers their inputs, so exactly the wires crossing alternate boundaries
     are transposed on both ends.  Identity paddings join their layer after
     its operations.  The circuit value is evaluated alongside.
+
+    A member's spectrum depends only on its matrix, leg order and layer
+    parity, so it is solved once per operation name (binding keeps both) or
+    padding dimension, and parity.
     """
     bound = _BoundCircuit(circuit, binding, eps)
     if bound.nonphysical:
@@ -344,17 +377,23 @@ def alternate_transpose_positivity(
     pads: dict[int, list[WireLabel]] = {}
     for pad in fol.paddings:
         pads.setdefault(pad.layer, []).append(pad.wire)
+    spectra: dict[tuple, tuple[float, float]] = {}  # (name or padding dim, parity) -> extremes
     layers: list[LayerMargin] = []
     for k, layer_ops in enumerate(fol.layers):
-        members = [(circuit.ops[i].name, bound.ops[i]) for i in layer_ops]
-        for wire in pads.get(k, ()):
-            ident = identity_transformation(wire, WireLabel(wire.sys, 0), dims[wire.id])
-            members.append((f"pad:{wire}", ident))
-        extremes: list[tuple[float, float]] = []
-        for _, op in members:
+        # (member, key, wire): a name is its own key, a padding's key is its dimension
+        members = [(circuit.ops[i].name, circuit.ops[i].name, None) for i in layer_ops]
+        members += [(f"pad:{wire}", dims[wire.id], wire) for wire in pads.get(k, ())]
+        for _, key, wire in members:
+            if (key, k % 2) in spectra:
+                continue
+            if wire is None:
+                op = bound.first[key][1]
+            else:
+                op = identity_transformation(wire, WireLabel(wire.sys, 0), key)
             side = op.output_legs if k % 2 == 0 else op.input_legs
             spectrum = np.linalg.eigvalsh(partial_transpose(op, [l.id for l in side]).matrix)
-            extremes.append((float(spectrum[0]), float(spectrum[-1])))
+            spectra[key, k % 2] = (float(spectrum[0]), float(spectrum[-1]))
+        extremes = [spectra[key, k % 2] for _, key, _ in members]
         lo, _ = _tensor_spectrum_range(extremes) if extremes else (0.0, 0.0)
-        layers.append(LayerMargin(k, tuple(name for name, _ in members), lo))
+        layers.append(LayerMargin(k, tuple(name for name, _, _ in members), lo))
     return AlternateTransposeReport(tuple(layers), bound.trace(), eps)

@@ -251,6 +251,31 @@ class TestEval:
             "is_physical": 2,  # P and R
         }
 
+    def test_foliated_state_too_large_exit_65(self, workspace, capsys, rng):
+        # eval foliates earliest, which prepares all 41 qubits in layer 0
+        ops = ["P^{a1}"]
+        for k in range(40):
+            ops.append(f"P^{{a{2 * k + 2}}} M_{{a{2 * k + 1} a{2 * k + 2}}}^{{a{2 * k + 3}}}")
+        ops.append("R_{a81}")
+        (workspace / "merge.circ").write_text(" ".join(ops) + "\n")
+        qubit = [Leg("a", 1, INPUT, 2), Leg("a", 2, INPUT, 2)]
+        merge = ot.random_physical_transformation(qubit, [Leg("a", 3, OUTPUT, 2)], rng)
+        ot.save(merge, workspace / "merge.json")
+        (workspace / "merge.txt").write_text("P = prep.json\nM = merge.json\nR = result.json\n")
+        result = run(
+            capsys,
+            "eval",
+            str(workspace / "merge.circ"),
+            str(workspace / "merge.txt"),
+            "--method",
+            "foliation",
+        )
+        assert_one_line_failure(result, 65)
+        assert result[2] == (
+            f"error: the foliated state under policy 'earliest' needs {4**41} coefficients, "
+            f"{16 * 4**41} bytes in two float64 buffers, which cannot be allocated\n"
+        )
+
 
 class TestPhysical:
     def test_identity_result_physical(self, tmp_path, capsys):

@@ -12,7 +12,14 @@ from optensor.binding import Binding
 from optensor.evaluator import _bind_circuit, _hermitian_basis, _transfer_matrix
 from optensor.notation import INPUT, OUTPUT, CircuitFragment, foliate
 from optensor.physicality import input_transpose
-from conftest import mixed_circuits, random_brickwork, random_circuit, random_open_fragment
+from conftest import (
+    mixed_circuits,
+    random_brickwork,
+    random_circuit,
+    random_dag,
+    random_open_fragment,
+    with_portfree_op,
+)
 from test_cli import count_bind_plan_check
 from test_contraction import _pair_contract
 
@@ -23,12 +30,20 @@ MEDIUM = "A^{a1 b2} B^{a3 d4} C_{b2 a3}^{a5} D_{a1}^{b6} E_{a5 d4}^{c7} F_{b6 c7
 
 
 def medium_binding(rng, dims):
+    frag = ot.parse_circuit(MEDIUM)
+    return frag, physical_binding(frag, rng, dims)
+
+
+def physical_binding(frag, rng, dims):
+    """A random physical operator for each name, on its first operation's wires."""
+
     def legs(wires, role):
         return [Leg(w.sys, w.id, role, dims[w.sys]) for w in wires]
 
-    frag = ot.parse_circuit(MEDIUM)
     binding = {}
     for decl in frag.ops:
+        if decl.name in binding:
+            continue
         if not decl.inputs:
             binding[decl.name] = ot.random_preparation(legs(decl.outputs, OUTPUT), rng)
         elif not decl.outputs:
@@ -37,7 +52,7 @@ def medium_binding(rng, dims):
             binding[decl.name] = ot.random_physical_transformation(
                 legs(decl.inputs, INPUT), legs(decl.outputs, OUTPUT), rng
             )
-    return frag, binding
+    return binding
 
 
 class TestProbability:
@@ -507,13 +522,64 @@ def _reference_foliated(
     return float(value.real)
 
 
+# Circuits that reach each layout case of the in-place evolution under one
+# policy or both: consumed wires adjacent and in declaration order, reversed,
+# or apart; a 2->1 channel and a qutrit-to-qubit-and-qutrit channel; a
+# preparation after a channel (under "latest"); a result on a middle axis.
+# kernel_cases adds a port-free operation to each.
+KERNEL_CASES = [
+    "P^{a1 a2} G_{a1 a2}^{a3 a4} G_{a4 a3}^{a5 a6} R_{a5 a6}",
+    "P^{a1 a2 a3} R_{a2} G_{a1 a3}^{a4 a5} Q_{a5 a4}",
+    "P^{a1 a2 b3} M_{a1 a2}^{b4} T_{b4}^{a5 b6} Q_{a5 b6 b3}",
+    "P^{a1} G_{a1}^{a2} P^{a3} M_{a2 a3}^{a4} R_{a4}",
+    "P^{a1 b2 a3 b4} G_{a1 a3}^{a5 a6} H_{b4 b2}^{b7} Q_{a6 b7 a5}",
+]
+
+
+def kernel_cases(rng):
+    cases = []
+    for text in KERNEL_CASES:
+        frag = ot.parse_circuit(text)
+        binding = physical_binding(frag, rng, {"a": 2, "b": 3})
+        cases.append(with_portfree_op(frag, binding, float(rng.uniform(0.2, 1.0))))
+    return cases
+
+
 class TestRealFoliatedRoute:
     def test_matches_complex_reference(self, rng):
-        for frag, binding in mixed_circuits(rng):
+        for frag, binding in mixed_circuits(rng) + kernel_cases(rng):
             for policy in ("earliest", "latest"):
                 got = ot.probability_foliated(frag, binding, policy, check_physical=False)
                 want = _reference_foliated(frag, binding, policy, check_physical=False)
                 assert abs(got - want) <= 1e-12
+
+    def test_brickworks_evolve_without_permuting(self, rng, monkeypatch):
+        copies = []  # the evolution permutes its state only through np.copyto
+        copyto = np.copyto
+
+        def counting(dst, src, *args, **kwargs):
+            copies.append(dst.shape)
+            return copyto(dst, src, *args, **kwargs)
+
+        monkeypatch.setattr(np, "copyto", counting)
+        for width in range(1, 7):
+            frag, binding = random_brickwork(rng, width=width, depth=4)
+            ot.probability_foliated(frag, binding, "earliest", check_physical=False)
+        assert copies == []
+        # G's wires a1 and a3 are apart, so it permutes the state
+        frag = ot.parse_circuit(KERNEL_CASES[4])
+        binding = physical_binding(frag, rng, {"a": 2, "b": 3})
+        ot.probability_foliated(frag, binding, "earliest", check_physical=False)
+        assert len(copies) >= 1
+
+    def test_impossible_state_is_not_applicable(self):
+        frag, binding = random_dag(np.random.default_rng(7), 300, 6)
+        with pytest.raises(ot.NotApplicableError) as raised:
+            ot.probability_foliated(frag, binding, "latest", check_physical=False)
+        message = str(raised.value)
+        assert message.startswith("the foliated state under policy 'latest' needs ")
+        assert message.endswith(" bytes in two float64 buffers, which cannot be allocated")
+        assert isinstance(raised.value.__cause__, (ValueError, MemoryError))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_basis_is_hermitian_orthonormal_and_spanning(self, dim):

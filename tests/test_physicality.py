@@ -2,6 +2,7 @@
 alternate-transpose layer positivity, and unitary transformations."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -363,6 +364,46 @@ class TestAlternateTranspose:
             "plan_contraction": 1,
             "is_physical": 3,  # P, W and R
         }
+
+    def test_one_eigensolve_per_name_or_padding_dim_and_parity(self, rng, monkeypatch):
+        from optensor import evaluator
+
+        frag = ot.parse_circuit("P^{a1 a6} Q^{b2} W_{a1}^{a3} W_{a3}^{a4} W_{a4}^{a5} R_{a5 b2 a6}")
+        binding = {
+            "P": ot.random_preparation([Leg("a", 1, OUTPUT, 2), Leg("a", 6, OUTPUT, 2)], rng),
+            "Q": ot.random_preparation([Leg("b", 2, OUTPUT, 3)], rng),
+            "W": ot.random_physical_transformation(
+                [Leg("a", 1, INPUT, 2)], [Leg("a", 2, OUTPUT, 2)], rng
+            ),
+            "R": ot.random_result(
+                [Leg("a", 1, INPUT, 2), Leg("b", 2, INPUT, 3), Leg("a", 3, INPUT, 2)], rng
+            ),
+        }
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(matrix):
+            if sys._getframe(1).f_globals["__name__"] == evaluator.__name__:
+                solves.append(matrix)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        report = ot.alternate_transpose_positivity(frag, binding)
+        # P, Q and R at parity 0; W, and paddings of dims 3 and 2, at both parities
+        assert len(solves) == 9
+        # the reports as they were with one eigensolve per member
+        pinned = [
+            (("P", "Q"), 0.00027740603676607484),
+            (("W", "pad:b2", "pad:a6"), -9.829320059549598e-17),
+            (("W", "pad:b2", "pad:a6"), -9.829320059549598e-17),
+            (("W", "pad:b2", "pad:a6"), -9.829320059549598e-17),
+            (("R",), 0.042915471960665585),
+        ]
+        assert [layer.index for layer in report.layers] == list(range(len(pinned)))
+        assert [layer.members for layer in report.layers] == [m for m, _ in pinned]
+        for layer, (_, min_eig) in zip(report.layers, pinned):
+            assert layer.min_eig == pytest.approx(min_eig, abs=1e-12)
+        assert report.value == pytest.approx(0.00012596552102837771, rel=1e-12)
 
     def test_paddings_join_their_layer_after_its_operations(self, rng):
         padded = 0
