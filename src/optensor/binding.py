@@ -27,7 +27,7 @@ def relabel_to_decl(op: LabeledOperator, decl: OperationDecl) -> LabeledOperator
         legs.append(Leg(wire.sys, wire.id, leg.role, leg.dim))
     if len(legs) != len(decl.inputs) + len(decl.outputs):
         raise _signature_error(op, decl)
-    return LabeledOperator._from_valid(tuple(legs), op.matrix, op.tol)
+    return LabeledOperator._from_valid(tuple(legs), op.matrix)
 
 
 def _signature_error(op: LabeledOperator, decl: OperationDecl) -> SignatureMismatchError:

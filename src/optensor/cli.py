@@ -272,14 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="optensor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--eps", type=float, default=1e-9)
-
     p = sub.add_parser("validate", help="check circuit text against the wiring rules")
     p.add_argument("circuit")
     p.add_argument("--types", help="system-type registry file")
-    common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("eval", help="evaluate a circuit probability")
@@ -288,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["tensor", "foliation", "both"], default="tensor")
     p.add_argument("--explain", action="store_true", help="dump the contraction plan")
     p.add_argument("--require-physical", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("physical", help="test an operator for physicality")
@@ -296,19 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true")
     p.add_argument("--require-physical", action="store_true")
     p.add_argument("--output", help="directory for witness operator files")
-    common(p)
     p.set_defaults(func=cmd_physical)
 
     p = sub.add_parser("decompose", help="expand an operator in default fiducials")
     p.add_argument("operator")
     p.add_argument("--output")
-    common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("reconstruct", help="rebuild an operator from a duotensor file")
     p.add_argument("duotensor")
     p.add_argument("--output")
-    common(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("tomography", help="reconstruct an operator by probing it")
@@ -316,21 +307,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=_non_negative_int, default=0, help="0 = exact probabilities")
     p.add_argument("--seed", type=_non_negative_int, default=0, help="shot-noise seed")
     p.add_argument("--output")
-    common(p)
     p.set_defaults(func=cmd_tomography)
 
     p = sub.add_parser("locality", help="proportionality test between two fragments")
     p.add_argument("fragment_a")
     p.add_argument("fragment_b")
     p.add_argument("bindings")
-    common(p)
     p.set_defaults(func=cmd_locality)
 
     p = sub.add_parser("foliate", help="print the layering of a circuit")
     p.add_argument("circuit")
     p.add_argument("--policy", choices=["earliest", "latest"], default="earliest")
-    common(p)
     p.set_defaults(func=cmd_foliate)
+
+    for name, p in sub.choices.items():
+        p.add_argument("--format", choices=["text", "json"], default="text")
+        if name in ("eval", "physical", "locality"):  # the commands that test physicality
+            p.add_argument("--eps", type=float, default=1e-9)
     return parser
 
 

@@ -217,10 +217,10 @@ def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> Label
     Intermediates are neither checked nor symmetrized: contracting two
     Hermitian operators over the wires they share gives a Hermitian one in
     exact arithmetic.  The result is built once with the full constructor
-    check at the operands' smallest ``tol``, so :class:`NonHermitianError`
-    reports the final deviation, and its legs are ordered as they first
-    appear in the operand scan.  Raises ValueError unless ``ops`` carry the
-    legs the plan was built for.
+    check, relative to its largest entry above unit scale, so a
+    :class:`NonHermitianError` reports the final deviation; its legs are
+    ordered as they first appear in the operand scan.  Raises ValueError
+    unless ``ops`` carry the legs the plan was built for.
     """
     if tuple(op.legs for op in ops) != plan.operand_legs:
         raise ValueError("plan was built for operands with other legs")
@@ -233,7 +233,7 @@ def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> Label
         tensors[step.result_index] = product.transpose(perm)
     (tensor,) = tensors.values()
     dim = math.prod(leg.dim for leg in plan.result_legs)
-    return LabeledOperator(plan.result_legs, tensor.reshape(dim, dim), min(op.tol for op in ops))
+    return LabeledOperator(plan.result_legs, tensor.reshape(dim, dim))
 
 
 def circuit_trace(ops: Sequence[LabeledOperator]) -> LabeledOperator:

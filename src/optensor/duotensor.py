@@ -29,7 +29,7 @@ from .errors import (
     SingularMetricError,
 )
 from .notation import INPUT, OUTPUT, SystemType, WireLabel
-from .operators import Leg, LabeledOperator, identity_transformation
+from .operators import TOL, Leg, LabeledOperator, identity_transformation
 from .operators import from_json_dict, to_json_dict
 from .physicality import is_physical
 
@@ -176,16 +176,18 @@ class DuoIndex:
 
 @dataclass(frozen=True, eq=False)
 class Duotensor:
-    """A real coefficient array with typed, colored indices."""
+    """A real coefficient array with typed, colored indices; it keeps a read-only copy."""
 
     indices: tuple[DuoIndex, ...]
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+        data = np.array(self.data, dtype=float)
         expected = tuple(ix.k for ix in self.indices)
         if data.shape != expected:
             raise ShapeMismatchError(f"data shape {data.shape}, indices need {expected}")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("duotensor data must be finite")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -236,17 +238,17 @@ def _fiducial_overlaps(op: LabeledOperator, stacks: Sequence[np.ndarray]) -> np.
     Each leg's bra and ket axes of the operator tensor are fused into one
     axis of ``d**2`` entries, and each stack is flattened to ``(K, d**2)``
     so that F's row meets op's bra and F's column the ket.  The overlaps of
-    Hermitian matrices are real; an imaginary residue beyond the operator's
-    ``tol`` raises :class:`NonHermitianError` instead of being dropped.
+    Hermitian matrices are real; an imaginary residue beyond the operators'
+    ``TOL`` raises :class:`NonHermitianError` instead of being dropped.
     """
     k = len(stacks)
     order = [axis for m in range(k) for axis in (k + m, m)]
     fused = op.tensor().transpose(order).reshape([leg.dim**2 for leg in op.legs])
     overlaps = _per_leg(fused, [stack.reshape(len(stack), -1) for stack in stacks])
     residue = float(np.max(np.abs(overlaps.imag)))
-    if residue > op.tol:
+    if residue > TOL:
         raise NonHermitianError(
-            f"fiducial overlaps have imaginary residue {residue:.3e} beyond tol={op.tol:.1e}"
+            f"fiducial overlaps have imaginary residue {residue:.3e} beyond tol={TOL:.1e}"
         )
     return overlaps.real
 
@@ -285,7 +287,6 @@ def reconstruct(
     dt: Duotensor,
     fsets: Mapping[str, FiducialSet],
     legs: Sequence[Leg] | None = None,
-    tol: float = 1e-10,
 ) -> LabeledOperator:
     """Weighted sum of tensor products of fiducial operators (all-white input).
 
@@ -309,7 +310,7 @@ def reconstruct(
     split = fused.reshape([d for d in dims for _ in range(2)])
     raw = split.transpose(list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)))
     dim = math.prod(dims)
-    return LabeledOperator(legs, raw.reshape(dim, dim), tol)
+    return LabeledOperator(legs, raw.reshape(dim, dim))
 
 
 def convert_dots(

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .notation import INPUT, OUTPUT, WireLabel
 
-DEFAULT_TOL = 1e-10
+TOL = 1e-10  # Hermiticity (relative above unit scale) and unitarity tolerance
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,13 @@ class LabeledOperator:
     """Hermitian operator with one labeled leg per tensor factor.
 
     The matrix is stored with factor order equal to ``legs`` order and is
-    symmetrized on construction; deviations from Hermiticity beyond ``tol``
-    raise :class:`NonHermitianError`.
+    symmetrized on construction; a deviation from Hermiticity beyond ``TOL``,
+    relative to ``max|M|`` above unit scale, raises :class:`NonHermitianError`.
     """
 
-    __slots__ = ("legs", "matrix", "tol")
+    __slots__ = ("legs", "matrix")
 
-    def __init__(self, legs: Iterable[Leg], matrix: np.ndarray, tol: float = DEFAULT_TOL):
+    def __init__(self, legs: Iterable[Leg], matrix: np.ndarray):
         legs = tuple(legs)
         _check_distinct_ids(legs)
         dim = 1
@@ -73,14 +73,14 @@ class LabeledOperator:
         if not (np.all(np.isfinite(matrix.real)) and np.all(np.isfinite(matrix.imag))):
             raise ValueError("matrix entries must be finite")
         deviation = float(np.max(np.abs(matrix - matrix.conj().T)))
-        if deviation > tol:
-            raise NonHermitianError(f"max |M - M^dag| = {deviation:.3e} exceeds tol={tol:.1e}")
+        if deviation > TOL and deviation > TOL * float(np.max(np.abs(matrix))):
+            raise NonHermitianError(f"max |M - M^dag| = {deviation:.3e} exceeds tol={TOL:.1e}")
         matrix = 0.5 * (matrix + matrix.conj().T)
         matrix.setflags(write=False)
-        self._set(legs, matrix, tol)
+        self._set(legs, matrix)
 
     @classmethod
-    def _from_valid(cls, legs: tuple[Leg, ...], matrix: np.ndarray, tol: float) -> LabeledOperator:
+    def _from_valid(cls, legs: tuple[Leg, ...], matrix: np.ndarray) -> LabeledOperator:
         """An operator on a matrix that is already Hermitian, finite and read-only.
 
         For new legs over a validated matrix or an exact rearrangement of one,
@@ -88,13 +88,12 @@ class LabeledOperator:
         """
         _check_distinct_ids(legs)
         op = object.__new__(cls)
-        op._set(legs, matrix, tol)
+        op._set(legs, matrix)
         return op
 
-    def _set(self, legs: tuple[Leg, ...], matrix: np.ndarray, tol: float) -> None:
+    def _set(self, legs: tuple[Leg, ...], matrix: np.ndarray) -> None:
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "tol", tol)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledOperator is immutable")
@@ -157,7 +156,7 @@ class LabeledOperator:
         # P M P^T moves entries without arithmetic: still exactly Hermitian and finite
         matrix = tensor.reshape(dim, dim)
         matrix.setflags(write=False)
-        return LabeledOperator._from_valid(new_legs, matrix, self.tol)
+        return LabeledOperator._from_valid(new_legs, matrix)
 
     def relabeled(self, mapping: dict[int, WireLabel | int]) -> LabeledOperator:
         """Rename wire ids (and optionally types); matrix is unchanged."""
@@ -170,7 +169,7 @@ class LabeledOperator:
                 new_legs.append(Leg(target.sys, target.id, leg.role, leg.dim))
             else:
                 new_legs.append(Leg(leg.sys, int(target), leg.role, leg.dim))
-        return LabeledOperator._from_valid(tuple(new_legs), self.matrix, self.tol)
+        return LabeledOperator._from_valid(tuple(new_legs), self.matrix)
 
     def __repr__(self) -> str:
         legs = ", ".join(str(l) for l in self.legs)
@@ -214,7 +213,7 @@ def partial_trace(op: LabeledOperator, over: Iterable[WireLabel | Leg | int]) ->
     reduced = np.einsum(tensor, subscripts, out)
     new_legs = tuple(op.legs[i] for i in keep)
     dim = math.prod(leg.dim for leg in new_legs)
-    return LabeledOperator(new_legs, reduced.reshape(dim, dim), op.tol)
+    return LabeledOperator(new_legs, reduced.reshape(dim, dim))
 
 
 def partial_transpose(op: LabeledOperator, over: Iterable[WireLabel | Leg | int]) -> LabeledOperator:
@@ -231,7 +230,7 @@ def partial_transpose(op: LabeledOperator, over: Iterable[WireLabel | Leg | int]
     # pair: the result is still exactly Hermitian and finite
     matrix = op.tensor().transpose(axes).reshape(op.dim, op.dim)
     matrix.setflags(write=False)
-    return LabeledOperator._from_valid(op.legs, matrix, op.tol)
+    return LabeledOperator._from_valid(op.legs, matrix)
 
 
 def min_eigenvalue(op: LabeledOperator) -> float:
@@ -247,8 +246,8 @@ def max_eigenvalue(op: LabeledOperator) -> float:
 # Constructors
 
 
-def scalar_operator(value: float, tol: float = DEFAULT_TOL) -> LabeledOperator:
-    return LabeledOperator((), np.array([[value]], dtype=complex), tol)
+def scalar_operator(value: float) -> LabeledOperator:
+    return LabeledOperator((), np.array([[value]], dtype=complex))
 
 
 def identity_result(wire: WireLabel, dim: int) -> LabeledOperator:
@@ -279,7 +278,6 @@ def operator_from_kraus(
     kraus: Sequence[np.ndarray],
     in_legs: Sequence[Leg],
     out_legs: Sequence[Leg],
-    tol: float = DEFAULT_TOL,
 ) -> LabeledOperator:
     """Operator tensor of the completely positive map with the given Kraus set.
 
@@ -297,7 +295,7 @@ def operator_from_kraus(
         block = K.T.reshape(-1)  # index order (in, out)
         choi += np.outer(block, block.conj())
     legs = tuple(in_legs) + tuple(out_legs)
-    op_in_choi_form = LabeledOperator(legs, choi, tol)
+    op_in_choi_form = LabeledOperator(legs, choi)
     return partial_transpose(op_in_choi_form, [l.id for l in in_legs])
 
 
@@ -314,12 +312,12 @@ def unitary_channel(
     )
 
 
-def _require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+def _require_unitary(u: np.ndarray) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NonUnitaryError(f"expected a square matrix, got shape {u.shape}")
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if dev > tol:
-        raise NonUnitaryError(f"max |U^dag U - I| = {dev:.3e} exceeds tol={tol:.1e}")
+    if dev > TOL:
+        raise NonUnitaryError(f"max |U^dag U - I| = {dev:.3e} exceeds tol={TOL:.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +426,7 @@ def to_json_dict(op: LabeledOperator) -> dict:
     }
 
 
-def from_json_dict(data: dict, tol: float = DEFAULT_TOL) -> LabeledOperator:
+def from_json_dict(data: dict) -> LabeledOperator:
     legs = []
     for entry in data["labels"]:
         sys_name = entry["type"]
@@ -440,15 +438,15 @@ def from_json_dict(data: dict, tol: float = DEFAULT_TOL) -> LabeledOperator:
     flat = np.array([complex(re, im) for re, im in data["matrix"]])
     if flat.size != dim * dim:
         raise DimMismatchError(f"matrix has {flat.size} entries, expected {dim * dim}")
-    return LabeledOperator(tuple(legs), flat.reshape(dim, dim), tol)
+    return LabeledOperator(tuple(legs), flat.reshape(dim, dim))
 
 
 def dumps(op: LabeledOperator) -> str:
     return json.dumps(to_json_dict(op), indent=2)
 
 
-def loads(text: str, tol: float = DEFAULT_TOL) -> LabeledOperator:
-    return from_json_dict(json.loads(text), tol)
+def loads(text: str) -> LabeledOperator:
+    return from_json_dict(json.loads(text))
 
 
 def save(op: LabeledOperator, path) -> None:
@@ -457,7 +455,7 @@ def save(op: LabeledOperator, path) -> None:
         fh.write("\n")
 
 
-def load(path, tol: float = DEFAULT_TOL) -> LabeledOperator:
+def load(path) -> LabeledOperator:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read(), tol)
+        return loads(fh.read())
 

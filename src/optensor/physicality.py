@@ -240,4 +240,4 @@ def transform(
                     f"leg dim is {leg.dim}"
                 )
         total = np.kron(total, u)
-    return LabeledOperator(op.legs, total @ op.matrix @ total.conj().T, op.tol)
+    return LabeledOperator(op.legs, total @ op.matrix @ total.conj().T)

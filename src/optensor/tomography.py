@@ -76,8 +76,8 @@ class ExactBlackBox(_FiducialBox):
 class SampledBlackBox(_FiducialBox):
     """Adds binomial shot noise to each fiducial-circuit probability.
 
-    Each setting draws ``binomial(shots, p)``, with ``p`` clamped to [0, 1],
-    from its own PCG64 stream, identical to
+    Each setting draws ``binomial(shots, p)`` for an integer ``shots >= 1``,
+    with ``p`` clamped to [0, 1], from its own PCG64 stream, identical to
     ``np.random.default_rng((seed,) + setting)``; so results do not depend on
     probe order.  The first call for given fiducial sets draws the whole
     array, deriving every stream's state in one batch; each later call is
@@ -88,6 +88,10 @@ class SampledBlackBox(_FiducialBox):
     seed: int = 0
 
     def _from_overlaps(self, overlaps: np.ndarray) -> np.ndarray:
+        if not isinstance(self.shots, (int, np.integer)):
+            raise TypeError(f"shots must be an integer, not {type(self.shots).__name__}")
+        if self.shots < 1:
+            raise ValueError(f"shots must be at least 1, got {self.shots}")
         bitgen = np.random.PCG64()
         draw = np.random.Generator(bitgen).binomial
         stream = {"state": 0, "inc": 0}  # refilled for each setting
@@ -176,7 +180,7 @@ def probe(bb, fsets: Mapping[str, FiducialSet]) -> Duotensor:
     """
     legs = bb.signature
     if isinstance(bb, _FiducialBox):
-        data = bb._values(fsets).copy()
+        data = bb._values(fsets)
     else:
         shape = tuple(fsets[leg.sys].k for leg in legs)
         data = np.empty(shape)

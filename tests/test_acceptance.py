@@ -46,10 +46,10 @@ def _perturb_nonphysical(op, rng):
     """Break positivity or the trace bound by a margin is_physical must see."""
     if rng.integers(2):
         shift = 0.05 + 0.3 * rng.random()
-        return LabeledOperator(op.legs, op.matrix - shift * np.eye(op.dim), op.tol)
+        return LabeledOperator(op.legs, op.matrix - shift * np.eye(op.dim))
     headroom = ot.max_eigenvalue(ot.output_trace(op))
     scale = (1.1 + rng.random()) / headroom
-    return LabeledOperator(op.legs, scale * op.matrix, op.tol)
+    return LabeledOperator(op.legs, scale * op.matrix)
 
 
 def test_c02_physicality_theorem():
@@ -169,7 +169,7 @@ def test_c07_formalism_locality():
     binding = {
         "P": ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng),
         "W": chan,
-        "V": LabeledOperator(chan.legs, 0.4 * chan.matrix, chan.tol),
+        "V": LabeledOperator(chan.legs, 0.4 * chan.matrix),
     }
     ratio = ot.formalism_locality_ratio(frag_a, frag_b, binding, eps=1e-8)
     assert ratio == pytest.approx(2.5, abs=1e-10)

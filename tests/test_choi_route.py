@@ -46,7 +46,7 @@ def _reference_partial_transpose(op, over):
         if leg.id in ids:
             axes[i], axes[k + i] = axes[k + i], axes[i]
     tensor = op.tensor().transpose(axes)
-    return LabeledOperator(op.legs, tensor.reshape(op.dim, op.dim), op.tol)
+    return LabeledOperator(op.legs, tensor.reshape(op.dim, op.dim))
 
 
 def _reference_input_transpose(op):
@@ -58,7 +58,7 @@ def _reference_is_physical(op, eps=1e-9):
     lam = ot.min_eigenvalue(_reference_input_transpose(op))
     traced = ot.output_trace(op)
     excess = ot.max_eigenvalue(
-        LabeledOperator(traced.legs, traced.matrix - np.eye(traced.dim), traced.tol)
+        LabeledOperator(traced.legs, traced.matrix - np.eye(traced.dim))
     )
     return ot.PhysicalityReport(lam >= -eps and excess <= eps, lam, excess, eps)
 
@@ -155,7 +155,7 @@ def _rank_deficient(op):
     """The operator whose Choi matrix keeps only the top half of the spectrum."""
     w, v = np.linalg.eigh(_reference_input_transpose(op).matrix)
     w[: len(w) // 2] = 0.0
-    choi = LabeledOperator(op.legs, (v * w) @ v.conj().T, op.tol)
+    choi = LabeledOperator(op.legs, (v * w) @ v.conj().T)
     return _reference_input_transpose(choi)
 
 
@@ -165,8 +165,8 @@ def _variants(op):
         op.permuted(op.ids[::-1]),
         _interleaved(op),
         _rank_deficient(op),
-        LabeledOperator(op.legs, 1.7 * op.matrix, op.tol),
-        LabeledOperator(op.legs, op.matrix - 0.3 * np.eye(op.dim), op.tol),
+        LabeledOperator(op.legs, 1.7 * op.matrix),
+        LabeledOperator(op.legs, op.matrix - 0.3 * np.eye(op.dim)),
     ]
 
 
@@ -190,7 +190,7 @@ def test_partial_transpose_matches_validating_reference(corpus):
         for subset in (ins, outs, op.ids[:1]):
             got = ot.partial_transpose(op, subset)
             want = _reference_partial_transpose(op, subset)
-            assert got.legs == want.legs and got.tol == want.tol
+            assert got.legs == want.legs
             assert got.matrix.tobytes() == want.matrix.tobytes()
             assert not got.matrix.flags.writeable
 

@@ -100,6 +100,30 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path), "--seed", "3")
         assert code == 64 and "--seed" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "x.circ"),
+            ("foliate", "x.circ"),
+            ("decompose", "op.json"),
+            ("reconstruct", "op.duo.json"),
+            ("tomography", "op.json"),
+        ],
+    )
+    def test_eps_only_where_read(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--eps", "1e-3")
+        assert (code, out) == (64, "") and "--eps" in err
+
+    def test_eps_accepted_where_read(self, workspace, capsys):
+        ws = str(workspace)
+        for argv in (
+            ("eval", f"{ws}/pair.circ", f"{ws}/binding.txt"),
+            ("physical", f"{ws}/prep.json"),
+            ("locality", f"{ws}/pair.circ", f"{ws}/pair.circ", f"{ws}/binding.txt"),
+        ):
+            code, _, err = run(capsys, *argv, "--eps", "1e-3")
+            assert (code, err) == (0, "")
+
     def test_missing_file_exit_66(self, capsys):
         code, _, err = run(capsys, "validate", "no-such-file.circ")
         assert code == 66
@@ -397,7 +421,7 @@ class TestLocality:
         chan = ot.random_physical_transformation(
             [Leg("a", 1, INPUT, 2)], [Leg("a", 2, OUTPUT, 2)], seed=3
         )
-        half = ot.LabeledOperator(chan.legs, 0.5 * chan.matrix, chan.tol)
+        half = ot.LabeledOperator(chan.legs, 0.5 * chan.matrix)
         prep = ot.random_preparation([Leg("a", 1, OUTPUT, 2)], seed=3)
         ot.save(prep, tmp_path / "prep.json")
         ot.save(chan, tmp_path / "chan.json")

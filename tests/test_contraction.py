@@ -467,7 +467,7 @@ def _reference_contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledO
     raw = _pair_contract(a.tensor(), sub_a, b.tensor(), sub_b, out)
     legs = tuple(a.legs[i] for i in open_a) + tuple(b.legs[j] for j in open_b)
     dim = math.prod(leg.dim for leg in legs)
-    return LabeledOperator(legs, raw.reshape(dim, dim), min(a.tol, b.tol))
+    return LabeledOperator(legs, raw.reshape(dim, dim))
 
 
 def _reference_execute_plan(
@@ -498,7 +498,6 @@ def executor_cases(rng):
 
 def assert_same_operator(got: LabeledOperator, want: LabeledOperator, atol: float):
     assert got.legs == want.legs
-    assert got.tol == want.tol
     assert np.max(np.abs(got.matrix - want.matrix)) <= atol
 
 
@@ -517,22 +516,14 @@ class TestRawExecutor:
                     want = _reference_contract_pair(a, b)
                     assert_same_operator(ot.contract_pair(a, b), want, 1e-12)
 
-    def test_result_takes_the_smallest_tol(self, rng):
-        rho = ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng)
-        meas = LabeledOperator(
-            (Leg("a", 1, INPUT, 2),), ot.random_result([Leg("a", 1, INPUT, 2)], rng).matrix, 1e-6
-        )
-        assert ot.circuit_trace([rho, meas]).tol == 1e-10
-        assert ot.circuit_trace([meas]).tol == 1e-6
-
     def test_non_hermitian_final_result_raises(self, rng):
         # operands built past the constructor check, as a numeric fault would
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         legs = (Leg("a", 1, OUTPUT, 2), Leg("a", 2, OUTPUT, 2))
-        faulty = LabeledOperator._from_valid(legs, z, 1e-10)
+        faulty = LabeledOperator._from_valid(legs, z)
         with pytest.raises(ot.NonHermitianError, match=r"max \|M - M\^dag\|"):
             ot.circuit_trace([faulty, result(1, np.eye(2))])
-        phase = LabeledOperator._from_valid((Leg("a", 1, OUTPUT, 2),), 1j * np.eye(2), 1e-10)
+        phase = LabeledOperator._from_valid((Leg("a", 1, OUTPUT, 2),), 1j * np.eye(2))
         with pytest.raises(ot.NonHermitianError):
             ot.circuit_trace([phase, result(1, np.eye(2))])
 

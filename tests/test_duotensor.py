@@ -303,6 +303,20 @@ def test_shape_mismatch():
         ot.Duotensor((ot.DuoIndex("a", 1, INPUT, 2, WHITE),), np.zeros(5))
 
 
+def test_data_is_a_read_only_copy():
+    data = np.arange(4.0)
+    dt = ot.Duotensor((ot.DuoIndex("a", 1, INPUT, 2, WHITE),), data)
+    assert data.flags.writeable and not dt.data.flags.writeable
+    data[0] = 7.0
+    assert dt.data[0] == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_rejected(bad):
+    with pytest.raises(ValueError, match="duotensor data must be finite"):
+        ot.Duotensor((ot.DuoIndex("a", 1, INPUT, 2, WHITE),), [0.0, bad, 0.0, 0.0])
+
+
 class TestFiducialOverlaps:
     def test_real_overlaps_of_hermitian_operands(self, rng, qubit_fiducials):
         op = ot.random_preparation([Leg("a", 1, OUTPUT, 2), Leg("a", 2, OUTPUT, 2)], rng)

@@ -36,7 +36,7 @@ def test_witness_for_two_input_operator(rng):
         [Leg("a", 3, OUTPUT, 2)],
         rng,
     )
-    bad = LabeledOperator(op.legs, op.matrix - 0.2 * np.eye(op.dim), op.tol)
+    bad = LabeledOperator(op.legs, op.matrix - 0.2 * np.eye(op.dim))
     report = ot.is_physical(bad)
     assert report.input_transpose_min_eig < -1e-9
     witness = ot.witness_nonphysical(bad)

@@ -335,7 +335,7 @@ class TestFormalismLocality:
         binding = {
             "P": ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng),
             "W": chan,
-            "W2": LabeledOperator(chan.legs, 0.5 * chan.matrix, chan.tol),
+            "W2": LabeledOperator(chan.legs, 0.5 * chan.matrix),
         }
         return frag_a, frag_b, binding
 
@@ -386,7 +386,7 @@ class TestFormalismLocality:
 
     def test_open_fragment_pair_random(self, rng):
         frag, binding = random_open_fragment(rng)
-        scaled = {name: LabeledOperator(op.legs, 0.25 * op.matrix, op.tol)
+        scaled = {name: LabeledOperator(op.legs, 0.25 * op.matrix)
                   for name, op in binding.items()}
         # same fragment names, operators scaled: build B under a renamed map
         ratio = ot.formalism_locality_ratio(
@@ -449,6 +449,19 @@ def test_two_thousand_op_chain_evaluates_by_both_routes(rng):
     layered = ot.probability_foliated(frag, binding)
     assert abs(direct - 1.0) <= 1e-10
     assert abs(direct - layered) <= 1e-10
+
+
+def test_large_value_passes_the_hermiticity_check_at_its_scale():
+    """A 300-op DAG with every other name scaled by 1.5 evaluates to about 3.4e24;
+    rounding leaves the trace's result about 7e8 from Hermitian, 2e-16 of it."""
+    frag, binding = random_dag(np.random.default_rng(7), 300, 6)
+    scaled = dict(binding)
+    for name in sorted(binding)[::2]:
+        scaled[name] = LabeledOperator(binding[name].legs, 1.5 * binding[name].matrix)
+    direct = ot.probability(frag, scaled, check_physical=False)
+    layered = ot.probability_foliated(frag, scaled, check_physical=False)
+    assert direct > 1e24
+    assert abs(direct - layered) <= 1e-8 * abs(layered)
 
 
 def test_ten_qubit_brickwork_routes_agree(rng):

@@ -36,6 +36,27 @@ class TestConstruction:
         op = op_out("a", 1, noisy)
         assert np.max(np.abs(op.matrix - op.matrix.conj().T)) == 0.0
 
+    def test_large_scale_noise_symmetrized(self, rng):
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        hermitian = 1e6 * (h + h.conj().T)
+        n = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        noise = 1e-9 * (n - n.conj().T)  # anti-Hermitian
+        assert np.max(np.abs(noise)) > 1e-10
+        op = LabeledOperator((Leg("a", 1, OUTPUT, 2), Leg("a", 2, OUTPUT, 2)), hermitian + noise)
+        assert np.array_equal(op.matrix, op.matrix.conj().T)
+        np.testing.assert_allclose(op.matrix, hermitian, rtol=0, atol=1e-8)
+
+    def test_unit_scale_tolerance_is_absolute(self):
+        for matrix in ([[0.5, 0.5], [0.5 + 2e-10, 0.5]], [[1.0, 2e-10j], [0.0, 0.0]]):
+            with pytest.raises(ot.NonHermitianError, match="exceeds tol=1.0e-10"):
+                op_out("a", 1, matrix)
+        op_out("a", 1, [[1.0, 0.9e-10j], [0.0, 0.0]])
+
+    def test_tolerance_is_relative_above_unit_scale(self):
+        op_out("a", 1, [[100.0, 5e-9], [0.0, 0.0]])
+        with pytest.raises(ot.NonHermitianError):
+            op_out("a", 1, [[100.0, 2e-8], [0.0, 0.0]])
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ot.DuplicateLabelError):
             LabeledOperator(
@@ -87,7 +108,7 @@ class TestRearrangement:
             for perm in itertools.permutations(range(k)):
                 new = op.permuted([op.ids[p] for p in perm])
                 tensor = op.tensor().transpose(list(perm) + [p + k for p in perm])
-                old = LabeledOperator(new.legs, tensor.reshape(op.dim, op.dim), op.tol)
+                old = LabeledOperator(new.legs, tensor.reshape(op.dim, op.dim))
                 assert new.matrix.tobytes() == old.matrix.tobytes()
                 assert not new.matrix.flags.writeable
 

@@ -204,7 +204,7 @@ class TestWitness:
                 [Leg("a", 1, INPUT, 3)], [Leg("b", 2, OUTPUT, 2)], rng
             )
             bad = LabeledOperator(
-                op.legs, op.matrix - 0.3 * np.eye(op.dim), op.tol
+                op.legs, op.matrix - 0.3 * np.eye(op.dim)
             )
             report = ot.is_physical(bad)
             if report.input_transpose_min_eig >= -1e-9:
@@ -220,7 +220,7 @@ class TestWitness:
         op = ot.random_physical_transformation(
             [Leg("a", 1, INPUT, 2)], [Leg("b", 2, OUTPUT, 2)], rng, trace_preserving=True
         )
-        inflated = LabeledOperator(op.legs, 1.4 * op.matrix, op.tol)
+        inflated = LabeledOperator(op.legs, 1.4 * op.matrix)
         report = ot.is_physical(inflated)
         assert not report.physical and report.input_transpose_min_eig >= -1e-12
         witness = ot.witness_nonphysical(inflated)
@@ -486,7 +486,7 @@ def test_theorem_agreement_on_mixed_population(rng):
             noise = rng.standard_normal((op.dim, op.dim))
             noise = noise + noise.T + 1j * (rng.standard_normal((op.dim, op.dim)))
             noise = 0.5 * (noise + noise.conj().T)
-            op = LabeledOperator(op.legs, op.matrix + 0.25 * noise, op.tol)
+            op = LabeledOperator(op.legs, op.matrix + 0.25 * noise)
         report = ot.is_physical(op, eps=1e-9)
         if report.physical:
             check = ot.sandwich_check(op, samples=400, seed=k)

@@ -300,6 +300,17 @@ class TestSampledProbeOracle:
             with pytest.raises(TypeError):
                 ot.probe(ot.SampledBlackBox(op, 100, seed=seed), fsets)
 
+    def test_shots_errors(self, fsets):
+        op = qubit_channel(seed=5)
+        for shots in (0, -3):
+            with pytest.raises(ValueError, match="shots must be at least 1"):
+                ot.probe(ot.SampledBlackBox(op, shots), fsets)
+        for shots in (1.5, 100.0, "3"):
+            with pytest.raises(TypeError, match="shots must be an integer"):
+                ot.probe(ot.SampledBlackBox(op, shots), fsets)
+        black = ot.probe(ot.SampledBlackBox(op, np.int64(1)), fsets).data
+        assert set(np.unique(black)) <= {0.0, 1.0}
+
     def test_foreign_box_asked_every_setting_in_order(self, fsets):
         class Recording:
             def __init__(self, box):
