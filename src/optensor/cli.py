@@ -141,12 +141,12 @@ def cmd_eval(args) -> int:
     binding = _load_binding(args.bindings)
     report: dict = {}
     bound = evaluator._bind_circuit(frag, binding, args.eps, check_physical=False)
-    warned = bound.nonphysical
+    warned = bound.nonphysical(args.eps)
     if args.explain:
         report["plan"] = bound.plan.dump().splitlines()
         report["peak_dim"] = bound.plan.peak_dim
     if args.method in ("tensor", "both"):
-        tensor = bound.trace()
+        tensor = bound.trace().scalar
         report["probability_tensor"] = f"{tensor:.12f}"
     if args.method in ("foliation", "both"):
         foliation = bound.foliated("earliest")

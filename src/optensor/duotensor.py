@@ -29,7 +29,7 @@ from .errors import (
     SingularMetricError,
 )
 from .notation import INPUT, OUTPUT, SystemType, WireLabel
-from .operators import TOL, Leg, LabeledOperator, identity_transformation
+from .operators import TOL, Leg, LabeledOperator, _beyond_tol, identity_transformation
 from .operators import from_json_dict, to_json_dict
 from .physicality import is_physical
 
@@ -103,7 +103,6 @@ def make_fiducials(
     sys_type: SystemType,
     preps: Sequence[LabeledOperator],
     results: Sequence[LabeledOperator],
-    tol: float = 1e-10,
 ) -> FiducialSet:
     """Assemble and validate a fiducial set, computing the metric and its inverse."""
     k = sys_type.fiducial_count
@@ -111,9 +110,9 @@ def make_fiducials(
         raise SingularBasisError(f"need {k} preps and results for {sys_type.name}")
     if _span_rank(preps) < k or _span_rank(results) < k:
         raise SingularBasisError(f"fiducials for {sys_type.name} do not span")
-    if not all(is_physical(prep, tol) for prep in preps):
+    if not all(is_physical(prep, TOL) for prep in preps):
         raise SingularBasisError("fiducial preparation is not physical")
-    if not all(is_physical(result, tol) for result in results):
+    if not all(is_physical(result, TOL) for result in results):
         raise SingularBasisError("fiducial result is not physical")
     metric = compute_hopping_metric(preps, results)
     if metric.min() < -1e-12 or metric.max() > 1 + 1e-12:
@@ -239,14 +238,14 @@ def _fiducial_overlaps(op: LabeledOperator, stacks: Sequence[np.ndarray]) -> np.
     axis of ``d**2`` entries, and each stack is flattened to ``(K, d**2)``
     so that F's row meets op's bra and F's column the ket.  The overlaps of
     Hermitian matrices are real; an imaginary residue beyond the operators'
-    ``TOL`` raises :class:`NonHermitianError` instead of being dropped.
+    Hermiticity rule raises :class:`NonHermitianError` instead of being dropped.
     """
     k = len(stacks)
     order = [axis for m in range(k) for axis in (k + m, m)]
     fused = op.tensor().transpose(order).reshape([leg.dim**2 for leg in op.legs])
     overlaps = _per_leg(fused, [stack.reshape(len(stack), -1) for stack in stacks])
     residue = float(np.max(np.abs(overlaps.imag)))
-    if residue > TOL:
+    if _beyond_tol(residue, overlaps.real):
         raise NonHermitianError(
             f"fiducial overlaps have imaginary residue {residue:.3e} beyond tol={TOL:.1e}"
         )

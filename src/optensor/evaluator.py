@@ -5,8 +5,8 @@ formalism-locality proportionality test.
 ``probability`` contracts bound operators directly (one circuit trace);
 ``probability_foliated`` layers the circuit and evolves an unnormalized
 state through each time step, closing with the result operators.  The two
-must agree on every circuit.  Each entry point binds a closed circuit once,
-as a :class:`_BoundCircuit`, and evaluates that.
+must agree on every circuit.  Each entry point binds its fragment once, as
+a :class:`_BoundFragment`, and evaluates that.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binding import Binding, resolve_binding
-from .contraction import _wire_ends, circuit_trace, execute_plan, plan_contraction
+from .contraction import _wire_ends, execute_plan, plan_contraction
 from .duotensor import _fiducial_overlaps
 from .errors import (
     NonCircuitTermError,
@@ -33,8 +33,14 @@ from .operators import LabeledOperator, identity_transformation, partial_transpo
 from .physicality import input_transpose, is_physical
 
 
-class _BoundCircuit:
-    """A closed circuit with its operators bound, shared by every route.
+def _require_circuit(frag: CircuitFragment) -> None:
+    """Refuse a fragment with open ports: only a closed circuit has a probability."""
+    if frag.kind != CIRCUIT:
+        raise NonCircuitTermError(f"fragment has open ports (kind={frag.kind})")
+
+
+class _BoundFragment:
+    """A fragment with its operators bound, open or closed, shared by every route.
 
     Binding relabels each entry to its declaration, keeping leg order and
     matrix, so the first operation of each name stands for all of them: the
@@ -42,25 +48,22 @@ class _BoundCircuit:
     name.  The contraction plan is built on first use.
     """
 
-    def __init__(self, circuit: CircuitFragment, binding: Binding, eps: float):
-        if circuit.kind != CIRCUIT:
-            raise NonCircuitTermError(f"fragment has open ports (kind={circuit.kind})")
-        self.circuit = circuit
-        self.eps = eps
-        self.ops = resolve_binding(circuit, binding)
+    def __init__(self, frag: CircuitFragment, binding: Binding):
+        self.frag = frag
+        self.ops = resolve_binding(frag, binding)
         self.first = {}  # name -> (declaration, bound operator) of its first operation
-        for decl, op in zip(circuit.ops, self.ops):
+        for decl, op in zip(frag.ops, self.ops):
             self.first.setdefault(decl.name, (decl, op))
+        self.wire_dims = {leg.id: leg.dim for op in self.ops for leg in op.legs}
 
-    @functools.cached_property
-    def nonphysical(self) -> list[str]:
+    def nonphysical(self, eps: float) -> list[str]:
         """One message per operation whose bound operator is not physical, in order."""
-        reports = {name: is_physical(op, self.eps) for name, (_, op) in self.first.items()}
+        reports = {name: is_physical(op, eps) for name, (_, op) in self.first.items()}
         return [
             f"operator bound to {decl.name!r} is not physical "
             f"(min eig {reports[decl.name].input_transpose_min_eig:.3e}, "
             f"trace excess {reports[decl.name].output_trace_excess:.3e})"
-            for decl in self.circuit.ops
+            for decl in self.frag.ops
             if not reports[decl.name].physical
         ]
 
@@ -69,22 +72,20 @@ class _BoundCircuit:
         """The greedy contraction plan of the bound operators."""
         return plan_contraction(self.ops)
 
-    def trace(self) -> float:
-        """The circuit trace: the value of the contracted bound operators."""
-        return execute_plan(self.ops, self.plan).scalar
+    def trace(self) -> LabeledOperator:
+        """The contracted operators, on the open legs in operand-scan order (1x1 if none)."""
+        return execute_plan(self.ops, self.plan)
 
     def foliated(self, policy: str) -> float:
         """The layered state-evolution value (see :func:`probability_foliated`)."""
         _wire_ends(self.ops)  # the transfer matrices assume each wire's ends agree
-        decls = self.circuit.ops
-        fol = foliate(self.circuit, policy)
+        decls = self.frag.ops
+        fol = foliate(self.frag, policy)
         steps = [op_index for layer in fol.layers for op_index in layer]
         transfers = {
             name: _transfer_matrix(op.permuted([w.id for w in decl.labels]))
             for name, (decl, op) in self.first.items()
         }
-        # wire id -> d**2, the length of its axis
-        wire_size = {leg.id: leg.dim**2 for op in self.ops for leg in op.legs}
         size = peak = 1
         for op_index in steps:
             n_in, n_out = transfers[decls[op_index].name].shape
@@ -109,7 +110,7 @@ class _BoundCircuit:
             # live[start:stop]; a preparation's empty block is at the end
             start = min(consumed, default=len(live))
             stop = start + len(consumed)
-            shape = [wire_size[w] for w in live]
+            shape = [self.wire_dims[w] ** 2 for w in live]
             size = math.prod(shape)
             if consumed != list(range(start, stop)):
                 order = [*range(start), *consumed]
@@ -140,11 +141,12 @@ class _BoundCircuit:
 
 def _bind_circuit(
     circuit: CircuitFragment, binding: Binding, eps: float, check_physical: bool
-) -> _BoundCircuit:
+) -> _BoundFragment:
     """Bind a closed circuit, warning about non-physical operators."""
-    bound = _BoundCircuit(circuit, binding, eps)
+    _require_circuit(circuit)
+    bound = _BoundFragment(circuit, binding)
     if check_physical:
-        for message in bound.nonphysical:
+        for message in bound.nonphysical(eps):
             # the caller of probability, probability_foliated or p_function
             warnings.warn(message, PhysicalityWarning, stacklevel=3)
     return bound
@@ -161,7 +163,7 @@ def probability(
     Non-physical bindings are evaluated anyway but emit a
     :class:`PhysicalityWarning`.
     """
-    return _bind_circuit(circuit, binding, eps, check_physical).trace()
+    return _bind_circuit(circuit, binding, eps, check_physical).trace().scalar
 
 
 def probability_foliated(
@@ -267,22 +269,19 @@ def _fragment_signature(frag: CircuitFragment):
 def p_function(
     expr: CircuitExpression, binding: Binding, eps: float = 1e-9, check_physical: bool = True
 ) -> float:
-    """Linear extension of probability to sums of circuits."""
+    """Linear extension of probability to sums of circuits, all checked closed before any binds."""
     for _, frag in expr.terms:
-        if frag.kind != CIRCUIT:
-            raise NonCircuitTermError(
-                f"term has open ports (kind={frag.kind}); only circuits carry probabilities"
-            )
+        _require_circuit(frag)
     # binds here, as probability does, so that a warning points at the caller
     total = 0
     for coeff, frag in expr.terms:
-        total += coeff * _bind_circuit(frag, binding, eps, check_physical).trace()
+        total += coeff * _bind_circuit(frag, binding, eps, check_physical).trace().scalar
     return total
 
 
 def fragment_operator(frag: CircuitFragment, binding: Binding) -> LabeledOperator:
-    """Contract internal wires only; the open ports remain as legs."""
-    return circuit_trace(resolve_binding(frag, binding))
+    """Contract internal wires; open ports stay as legs, in operand-scan order.  Never warns."""
+    return _BoundFragment(frag, binding).trace()
 
 
 def formalism_locality_ratio(
@@ -299,11 +298,9 @@ def formalism_locality_ratio(
     """
     op_a = fragment_operator(frag_a, binding)
     op_b = fragment_operator(frag_b, binding)
-    if sorted(op_a.ids) != sorted(op_b.ids):
+    if set(op_a.legs) != set(op_b.legs):
         raise SignatureMismatchError("fragments expose different open ports")
     op_b = op_b.permuted(op_a.ids)
-    if op_a.legs != op_b.legs:
-        raise SignatureMismatchError("fragments expose different open ports")
     norm_b = float(np.max(np.abs(op_b.matrix)))
     if norm_b == 0.0:
         raise ZeroFragmentError("reference fragment operator is zero")
@@ -369,11 +366,10 @@ def alternate_transpose_positivity(
     parity, so it is solved once per operation name (binding keeps both) or
     padding dimension, and parity.
     """
-    bound = _BoundCircuit(circuit, binding, eps)
-    if bound.nonphysical:
-        raise NotApplicableError(bound.nonphysical[0])
+    bound = _bind_circuit(circuit, binding, eps, check_physical=False)
+    if nonphysical := bound.nonphysical(eps):
+        raise NotApplicableError(nonphysical[0])
     fol = foliate(circuit, policy)
-    dims = {leg.id: leg.dim for op in bound.ops for leg in op.legs}
     pads: dict[int, list[WireLabel]] = {}
     for pad in fol.paddings:
         pads.setdefault(pad.layer, []).append(pad.wire)
@@ -382,7 +378,7 @@ def alternate_transpose_positivity(
     for k, layer_ops in enumerate(fol.layers):
         # (member, key, wire): a name is its own key, a padding's key is its dimension
         members = [(circuit.ops[i].name, circuit.ops[i].name, None) for i in layer_ops]
-        members += [(f"pad:{wire}", dims[wire.id], wire) for wire in pads.get(k, ())]
+        members += [(f"pad:{wire}", bound.wire_dims[wire.id], wire) for wire in pads.get(k, ())]
         for _, key, wire in members:
             if (key, k % 2) in spectra:
                 continue
@@ -396,4 +392,4 @@ def alternate_transpose_positivity(
         extremes = [spectra[key, k % 2] for _, key, _ in members]
         lo, _ = _tensor_spectrum_range(extremes) if extremes else (0.0, 0.0)
         layers.append(LayerMargin(k, tuple(name for name, _, _ in members), lo))
-    return AlternateTransposeReport(tuple(layers), bound.trace(), eps)
+    return AlternateTransposeReport(tuple(layers), bound.trace().scalar, eps)

@@ -23,7 +23,12 @@ from .errors import (
 )
 from .notation import INPUT, OUTPUT, WireLabel
 
-TOL = 1e-10  # Hermiticity (relative above unit scale) and unitarity tolerance
+TOL = 1e-10  # Hermiticity (relative above unit scale), unitarity and fiducial physicality
+
+
+def _beyond_tol(deviation: float, values: np.ndarray) -> bool:
+    """The Hermiticity rule: beyond ``TOL``, and beyond ``TOL * max|values|`` if that is more."""
+    return deviation > TOL and deviation > TOL * float(np.max(np.abs(values)))
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,7 @@ class LabeledOperator:
         if not (np.all(np.isfinite(matrix.real)) and np.all(np.isfinite(matrix.imag))):
             raise ValueError("matrix entries must be finite")
         deviation = float(np.max(np.abs(matrix - matrix.conj().T)))
-        if deviation > TOL and deviation > TOL * float(np.max(np.abs(matrix))):
+        if _beyond_tol(deviation, matrix):
             raise NonHermitianError(f"max |M - M^dag| = {deviation:.3e} exceeds tol={TOL:.1e}")
         matrix = 0.5 * (matrix + matrix.conj().T)
         matrix.setflags(write=False)

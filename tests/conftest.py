@@ -1,11 +1,17 @@
-"""Shared helpers: random circuit generation with physical bindings."""
+"""Shared helpers: random circuit generation with physical bindings, call
+counters, and reference kernels that several test modules compare against."""
 
 from __future__ import annotations
+
+import math
+import sys
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from optensor import (
+    LabeledOperator,
     Leg,
     OperationDecl,
     WireLabel,
@@ -17,6 +23,7 @@ from optensor import (
     random_result,
     scalar_operator,
 )
+from optensor import binding as binding_module, contraction, physicality
 from optensor.notation import INPUT, OUTPUT
 
 
@@ -283,3 +290,61 @@ def mixed_circuits(rng: np.random.Generator):
     cases.append(with_portfree_op(*reused_name_chain(rng, 4), 0.5))
     cases.append(random_brickwork(rng, width=4, depth=5))
     return cases
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Count calls of ``module.name`` made through any optensor namespace."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for held in list(sys.modules.values()):
+        if held.__name__.startswith("optensor") and getattr(held, name, None) is original:
+            monkeypatch.setattr(held, name, counting)
+    return calls
+
+
+def count_bind_plan_check(monkeypatch) -> dict[str, list]:
+    """Count binds, contraction plans and physicality tests, by function name."""
+    return {
+        name: count_calls(monkeypatch, module, name)
+        for module, name in (
+            (binding_module, "resolve_binding"),
+            (contraction, "plan_contraction"),
+            (physicality, "is_physical"),
+        )
+    }
+
+
+def pair_contract(
+    x: np.ndarray,
+    x_subs: Sequence[int],
+    y: np.ndarray,
+    y_subs: Sequence[int],
+    out_subs: Sequence[int],
+) -> np.ndarray:
+    """``np.einsum(x, x_subs, y, y_subs, out_subs)`` as one BLAS matrix product.
+
+    Each symbol appears at most once per operand.  Symbols carried by both
+    operands are summed over and every other symbol appears in ``out_subs``,
+    so the contraction is a ``tensordot`` followed by an axis permutation:
+    an outer product when nothing is shared, a scalar when everything is.
+    """
+    shared = set(x_subs) & set(y_subs)
+    x_axes = [i for i, s in enumerate(x_subs) if s in shared]
+    y_axes = [y_subs.index(x_subs[i]) for i in x_axes]
+    raw = np.tensordot(x, y, axes=(x_axes, y_axes))
+    raw_subs = [s for s in x_subs if s not in shared] + [s for s in y_subs if s not in shared]
+    return raw.transpose([raw_subs.index(s) for s in out_subs])
+
+
+def inout_tensor(op: LabeledOperator) -> tuple[np.ndarray, int, int]:
+    """Matrix permuted to inputs-then-outputs, reshaped (Nin, Nout, Nin, Nout)."""
+    order = [l.id for l in op.input_legs] + [l.id for l in op.output_legs]
+    arranged = op.permuted(order)
+    nin = math.prod(l.dim for l in op.input_legs)
+    nout = math.prod(l.dim for l in op.output_legs)
+    return arranged.matrix.reshape(nin, nout, nin, nout), nin, nout

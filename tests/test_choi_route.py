@@ -27,8 +27,7 @@ from optensor.duotensor import (
 from optensor.notation import INPUT, OUTPUT
 from optensor.operators import _resolve_ids
 from optensor.physicality import _haar_batch
-from conftest import SIGNATURES, mixed_circuits, signature_op
-from test_physicality import _inout_tensor
+from conftest import SIGNATURES, inout_tensor, mixed_circuits, signature_op
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +65,7 @@ def _reference_is_physical(op, eps=1e-9):
 def _reference_sandwich_check(op, ancilla_dims=None, samples=1000, seed=0, eps=1e-9):
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    tensor, nin, nout = _inout_tensor(op)
+    tensor, nin, nout = inout_tensor(op)
     if ancilla_dims is None:
         ancilla_dims = (1, nin, nin * nin)
     dims = tuple(dict.fromkeys(max(1, int(g)) for g in ancilla_dims))

@@ -1,16 +1,16 @@
 """Command-line interface: exit codes, report fields, determinism."""
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import optensor as ot
-from optensor import Leg, WireLabel, binding, contraction, physicality
+from optensor import Leg, WireLabel
 from optensor.cli import main
 from optensor.notation import INPUT, OUTPUT
+from conftest import count_bind_plan_check
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 
@@ -28,33 +28,6 @@ def workspace(tmp_path):
     manifest = tmp_path / "binding.txt"
     manifest.write_text("P = prep.json\nR = result.json\n")
     return tmp_path
-
-
-def count_calls(monkeypatch, module, name) -> list:
-    """Count calls of ``module.name`` made through any optensor namespace."""
-    original = getattr(module, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for held in list(sys.modules.values()):
-        if held.__name__.startswith("optensor") and getattr(held, name, None) is original:
-            monkeypatch.setattr(held, name, counting)
-    return calls
-
-
-def count_bind_plan_check(monkeypatch) -> dict[str, list]:
-    """Count binds, contraction plans and physicality tests, by function name."""
-    return {
-        name: count_calls(monkeypatch, module, name)
-        for module, name in (
-            (binding, "resolve_binding"),
-            (contraction, "plan_contraction"),
-            (physicality, "is_physical"),
-        )
-    }
 
 
 def run(capsys, *argv):
@@ -235,14 +208,7 @@ class TestEval:
         (workspace / "chain.txt").write_text(
             "P = prep.json\nW = wire.json\nR = result.json\n"
         )
-        calls = {
-            name: count_calls(monkeypatch, module, name)
-            for module, name in (
-                (binding, "resolve_binding"),
-                (contraction, "plan_contraction"),
-                (physicality, "is_physical"),
-            )
-        }
+        calls = count_bind_plan_check(monkeypatch)
         code, out, err = run(
             capsys,
             "eval",
@@ -274,6 +240,13 @@ class TestEval:
             "plan_contraction": 0 if method == "foliation" and not explain else 1,
             "is_physical": 2,  # P and R
         }
+
+    def test_open_fragment_exit_65_before_binding(self, workspace, capsys, monkeypatch):
+        (workspace / "open.circ").write_text("P^{a1}\n")
+        calls = count_bind_plan_check(monkeypatch)
+        result = run(capsys, "eval", str(workspace / "open.circ"), str(workspace / "binding.txt"))
+        assert result == (65, "", "error: fragment has open ports (kind=preparation)\n")
+        assert [len(made) for made in calls.values()] == [0, 0, 0]
 
     def test_foliated_state_too_large_exit_65(self, workspace, capsys, rng):
         # eval foliates earliest, which prepares all 41 qubits in layer 0
@@ -442,6 +415,40 @@ class TestLocality:
         payload = json.loads(out)
         assert payload["proportional"] is True
         assert float(payload["ratio"]) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "fragment_b, fmt, expected",
+        [
+            ("scaled.circ", "text", "proportional: True\nratio: 3.333333333333\n"),
+            (
+                "scaled.circ",
+                "json",
+                '{\n  "proportional": true,\n  "ratio": "3.333333333333"\n}\n',
+            ),
+            ("other.circ", "text", "proportional: False\n"),
+            ("other.circ", "json", '{\n  "proportional": false\n}\n'),
+        ],
+    )
+    def test_output_is_pinned(self, tmp_path, capsys, fragment_b, fmt, expected):
+        # a qubit-to-qutrit channel next to a disconnected preparation, against
+        # the channel scaled by 0.3 and against an unrelated channel
+        (tmp_path / "a.circ").write_text("P^{a1} W_{a1}^{b2} Q^{a3}\n")
+        (tmp_path / "scaled.circ").write_text("P^{a1} V_{a1}^{b2} Q^{a3}\n")
+        (tmp_path / "other.circ").write_text("P^{a1} U_{a1}^{b2} Q^{a3}\n")
+        qubit_in, qutrit_out = [Leg("a", 1, INPUT, 2)], [Leg("b", 2, OUTPUT, 3)]
+        chan = ot.random_physical_transformation(qubit_in, qutrit_out, seed=11)
+        other = ot.random_physical_transformation(qubit_in, qutrit_out, seed=14)
+        ot.save(ot.random_preparation([Leg("a", 1, OUTPUT, 2)], seed=12), tmp_path / "p.json")
+        ot.save(ot.random_preparation([Leg("a", 1, OUTPUT, 2)], seed=13), tmp_path / "q.json")
+        ot.save(chan, tmp_path / "w.json")
+        ot.save(ot.LabeledOperator(chan.legs, 0.3 * chan.matrix), tmp_path / "v.json")
+        ot.save(other, tmp_path / "u.json")
+        (tmp_path / "bind.txt").write_text(
+            "P = p.json\nQ = q.json\nW = w.json\nV = v.json\nU = u.json\n"
+        )
+        argv = [str(tmp_path / name) for name in ("a.circ", fragment_b, "bind.txt")]
+        result = run(capsys, "locality", *argv, "--format", fmt)
+        assert result == (0, expected, "")
 
 
 class TestFoliate:

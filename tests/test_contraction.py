@@ -10,7 +10,13 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from conftest import mixed_circuits, random_brickwork, random_circuit, random_open_fragment
+from conftest import (
+    mixed_circuits,
+    pair_contract,
+    random_brickwork,
+    random_circuit,
+    random_open_fragment,
+)
 
 import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
@@ -333,31 +339,10 @@ class TestPlanIdentity:
 
 
 # ---------------------------------------------------------------------------
-# The pair-contraction kernel against np.einsum on the same sublists.  The
-# kernel and the wire-id subscript rule were the executor's before each plan
-# step carried its own recipe; both are kept verbatim as test references.
-
-
-def _pair_contract(
-    x: np.ndarray,
-    x_subs: Sequence[int],
-    y: np.ndarray,
-    y_subs: Sequence[int],
-    out_subs: Sequence[int],
-) -> np.ndarray:
-    """``np.einsum(x, x_subs, y, y_subs, out_subs)`` as one BLAS matrix product.
-
-    Each symbol appears at most once per operand.  Symbols carried by both
-    operands are summed over and every other symbol appears in ``out_subs``,
-    so the contraction is a ``tensordot`` followed by an axis permutation:
-    an outer product when nothing is shared, a scalar when everything is.
-    """
-    shared = set(x_subs) & set(y_subs)
-    x_axes = [i for i, s in enumerate(x_subs) if s in shared]
-    y_axes = [y_subs.index(x_subs[i]) for i in x_axes]
-    raw = np.tensordot(x, y, axes=(x_axes, y_axes))
-    raw_subs = [s for s in x_subs if s not in shared] + [s for s in y_subs if s not in shared]
-    return raw.transpose([raw_subs.index(s) for s in out_subs])
+# The pair-contraction kernel (conftest.pair_contract) against np.einsum on
+# the same sublists.  The kernel and the wire-id subscript rule were the
+# executor's before each plan step carried its own recipe; both are kept
+# verbatim as test references.
 
 
 def _subscripts(legs: Sequence) -> list[int]:
@@ -384,7 +369,7 @@ def einsum_operands(rng, dims, x_syms, y_syms):
 
 
 def assert_kernel_matches_einsum(x, x_subs, y, y_subs, out):
-    got = _pair_contract(x, x_subs, y, y_subs, out)
+    got = pair_contract(x, x_subs, y, y_subs, out)
     want = np.einsum(x, x_subs, y, y_subs, out)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -464,7 +449,7 @@ def _reference_contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledO
         + [sub_a[ka + i] for i in open_a]
         + [sub_b[kb + j] for j in open_b]
     )
-    raw = _pair_contract(a.tensor(), sub_a, b.tensor(), sub_b, out)
+    raw = pair_contract(a.tensor(), sub_a, b.tensor(), sub_b, out)
     legs = tuple(a.legs[i] for i in open_a) + tuple(b.legs[j] for j in open_b)
     dim = math.prod(leg.dim for leg in legs)
     return LabeledOperator(legs, raw.reshape(dim, dim))

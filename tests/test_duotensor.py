@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import optensor as ot
-from optensor import Leg, SystemType, WireLabel
+from optensor import LabeledOperator, Leg, SystemType, WireLabel
 from optensor.duotensor import (
     BLACK,
     WHITE,
@@ -333,3 +333,31 @@ class TestFiducialOverlaps:
         message = f"imaginary residue {residue:.3e} beyond tol=1.0e-10"
         with pytest.raises(ot.NonHermitianError, match=re.escape(message)):
             _fiducial_overlaps(op, [1j * stack])
+
+    def test_large_channels_decompose_probe_and_reconstruct(self, rng, qutrit_fiducials):
+        # above unit scale the residue is judged relative to the overlaps, as
+        # the operator constructor judges a Hermiticity deviation
+        fsets = {"b": qutrit_fiducials}
+        for _ in range(10):
+            chan = ot.random_physical_transformation(
+                [Leg("b", 1, INPUT, 3)], [Leg("b", 2, OUTPUT, 3)], rng
+            )
+            big = LabeledOperator(chan.legs, 1e8 * chan.matrix)
+            scale = float(np.max(np.abs(big.matrix)))
+            black = ot.probe(ot.ExactBlackBox(big), fsets)
+            unit = ot.probe(ot.ExactBlackBox(chan), fsets)
+            np.testing.assert_allclose(black.data, 1e8 * unit.data, rtol=0, atol=1e-12 * scale)
+            rebuilt = ot.reconstruct(ot.decompose(big, fsets), fsets)
+            recovered = ot.reconstruct_operation(ot.ExactBlackBox(big), fsets)
+            for op in (rebuilt, recovered):
+                assert np.max(np.abs(op.matrix - big.matrix)) <= 1e-12 * scale
+
+    def test_relative_residue_raises_at_large_scale(self, rng, qutrit_fiducials):
+        chan = ot.random_physical_transformation(
+            [Leg("b", 1, INPUT, 3)], [Leg("b", 2, OUTPUT, 3)], rng
+        )
+        big = LabeledOperator(chan.legs, 1e8 * chan.matrix)
+        stacks = [_fiducial_stack({"b": qutrit_fiducials}, leg) for leg in big.legs]
+        skewed = [stacks[0] * (1 + 1e-6j), stacks[1]]  # residue 1e-6 of each overlap
+        with pytest.raises(ot.NonHermitianError, match="fiducial overlaps have imaginary residue"):
+            _fiducial_overlaps(big, skewed)

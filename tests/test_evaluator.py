@@ -1,6 +1,9 @@
 """Both probability formulations, linear combinations, fragment operators,
 and the formalism-locality proportionality test."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,20 +11,22 @@ from hypothesis import strategies as st
 
 import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
-from optensor.binding import Binding
+from optensor.binding import Binding, resolve_binding
+from optensor.contraction import circuit_trace
 from optensor.evaluator import _bind_circuit, _hermitian_basis, _transfer_matrix
-from optensor.notation import INPUT, OUTPUT, CircuitFragment, foliate
+from optensor.notation import CIRCUIT, INPUT, OUTPUT, CircuitFragment, foliate
 from optensor.physicality import input_transpose
 from conftest import (
+    DIMS,
+    count_bind_plan_check,
     mixed_circuits,
+    pair_contract,
     random_brickwork,
     random_circuit,
     random_dag,
     random_open_fragment,
     with_portfree_op,
 )
-from test_cli import count_bind_plan_check
-from test_contraction import _pair_contract
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -230,6 +235,21 @@ class TestProbabilityFoliated:
         layered = ot.probability_foliated(joint, binding, check_physical=False)
         assert abs(layered - p_left * p_right) <= 1e-10
 
+    def test_large_scale_channel_agrees_with_trace(self, rng):
+        frag = ot.parse_circuit("P^{b1} W_{b1}^{b2} R_{b2}")
+        for _ in range(5):
+            chan = ot.random_physical_transformation(
+                [Leg("b", 1, INPUT, 3)], [Leg("b", 2, OUTPUT, 3)], rng
+            )
+            binding = {
+                "P": ot.random_preparation([Leg("b", 1, OUTPUT, 3)], rng),
+                "W": LabeledOperator(chan.legs, 1e8 * chan.matrix),
+                "R": ot.random_result([Leg("b", 1, INPUT, 3)], rng),
+            }
+            p = ot.probability(frag, binding, check_physical=False)
+            q = ot.probability_foliated(frag, binding, check_physical=False)
+            assert p > 1e6 and abs(p - q) <= 1e-10 * p
+
 
 class TestPFunction:
     def test_single_term(self, rng):
@@ -324,6 +344,98 @@ class TestFragmentOperator:
             composite = ot.fragment_operator(frag, binding)
             assert ot.is_physical(composite).physical
 
+    def test_binds_and_plans_once_and_never_warns(self, monkeypatch):
+        frag = ot.parse_circuit("P^{a1} W_{a1}^{a2}")
+        wire = ot.identity_transformation(WireLabel("a", 1), WireLabel("a", 2), 2)
+        binding = {
+            "P": ot.identity_preparation(WireLabel("a", 1), 2),
+            "W": LabeledOperator(wire.legs, 1.5 * wire.matrix),
+        }
+        assert not ot.is_physical(binding["W"]).physical
+        calls = count_bind_plan_check(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ot.fragment_operator(frag, binding)
+        assert {name: len(made) for name, made in calls.items()} == {
+            "resolve_binding": 1,
+            "plan_contraction": 1,
+            "is_physical": 0,
+        }
+        assert np.array_equal(out.matrix, 1.5 * np.eye(2))
+
+    def test_bitwise_equal_to_circuit_trace_of_resolved_binding(self, rng):
+        cases = [random_open_fragment(rng) for _ in range(20)]
+        # prefixes and slices of closed circuits leave their cut wires open
+        for frag, binding in mixed_circuits(rng):
+            n = len(frag.ops)
+            start, stop = sorted(rng.integers(0, n + 1, size=2))
+            for ops in (frag.ops[: int(rng.integers(1, n))], frag.ops[start:stop]):
+                if not ops:
+                    continue
+                sub = ot.fragment_from_ops(ops)
+                open_wires = sub.open_inputs + sub.open_outputs
+                if sub.kind != CIRCUIT and math.prod(DIMS[w.sys] for w in open_wires) <= 256:
+                    cases.append((sub, binding))
+        assert len(cases) >= 50
+        for frag, binding in cases:
+            got = ot.fragment_operator(frag, binding)
+            want = _reference_fragment_operator(frag, binding)
+            assert got.legs == want.legs
+            assert np.array_equal(got.matrix, want.matrix)
+
+
+def _reference_fragment_operator(frag: CircuitFragment, binding: Binding) -> LabeledOperator:
+    """Fragment operators as they were built before the bound fragment served them."""
+    return circuit_trace(resolve_binding(frag, binding))
+
+
+class TestClosedOnlyEntryPoints:
+    """Every route that needs a closed circuit refuses an open one before binding."""
+
+    def open_case(self, rng):
+        frag = ot.parse_circuit("P^{a1} W_{a1}^{a2}")
+        binding = {
+            "P": ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng),
+            "W": ot.random_physical_transformation(
+                [Leg("a", 1, INPUT, 2)], [Leg("a", 2, OUTPUT, 2)], rng
+            ),
+        }
+        return frag, binding
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ot.probability,
+            ot.probability_foliated,
+            ot.alternate_transpose_positivity,
+            lambda frag, binding: ot.p_function(ot.CircuitExpression(((1.0, frag),)), binding),
+        ],
+        ids=["probability", "probability_foliated", "alternate_transpose", "p_function"],
+    )
+    def test_raises_before_binding(self, rng, monkeypatch, entry):
+        frag, binding = self.open_case(rng)
+        calls = count_bind_plan_check(monkeypatch)
+        with pytest.raises(ot.NonCircuitTermError) as caught:
+            entry(frag, binding)
+        assert str(caught.value) == "fragment has open ports (kind=preparation)"
+        assert {name: len(made) for name, made in calls.items()} == {
+            "resolve_binding": 0,
+            "plan_contraction": 0,
+            "is_physical": 0,
+        }
+
+    def test_p_function_checks_every_term_before_binding_any(self, rng, monkeypatch):
+        frag, binding = self.open_case(rng)
+        closed, closed_binding = random_circuit(rng, max_ops=4)
+        # the constructor refuses to mix closed and open terms, so the mixture
+        # is set directly: p_function must still check each term itself
+        expr = ot.CircuitExpression(((1.0, closed),))
+        object.__setattr__(expr, "terms", ((0.5, closed), (0.5, frag)))
+        calls = count_bind_plan_check(monkeypatch)
+        with pytest.raises(ot.NonCircuitTermError, match=r"kind=preparation\)$"):
+            ot.p_function(expr, {**closed_binding, **binding})
+        assert [len(made) for made in calls.values()] == [0, 0, 0]
+
 
 class TestFormalismLocality:
     def scaled_pair(self, rng):
@@ -360,6 +472,16 @@ class TestFormalismLocality:
             )
             assert abs(pa - ratio * pb) <= 1e-8 * max(1.0, abs(pa))
 
+    def test_binds_and_plans_each_fragment_once(self, rng, monkeypatch):
+        frag_a, frag_b, binding = self.scaled_pair(rng)
+        calls = count_bind_plan_check(monkeypatch)
+        assert ot.formalism_locality_ratio(frag_a, frag_b, binding) is not None
+        assert {name: len(made) for name, made in calls.items()} == {
+            "resolve_binding": 2,
+            "plan_contraction": 2,
+            "is_physical": 0,
+        }
+
     def test_different_channels_not_proportional(self, rng):
         frag_a = ot.parse_circuit("P^{a1} W_{a1}^{a2}")
         frag_b = ot.parse_circuit("P^{a1} W2_{a1}^{a2}")
@@ -373,6 +495,24 @@ class TestFormalismLocality:
             ),
         }
         assert ot.formalism_locality_ratio(frag_a, frag_b, binding) is None
+
+    @pytest.mark.parametrize(
+        "text_b",
+        ["W_{a1}^{a3}", "W_{a2}^{a1}", "V_{a1}^{b2}"],
+        ids=["other-id", "same-ids-other-roles", "other-type"],
+    )
+    def test_different_open_ports_rejected(self, rng, text_b):
+        binding = {
+            "W": ot.random_physical_transformation(
+                [Leg("a", 1, INPUT, 2)], [Leg("a", 2, OUTPUT, 2)], rng
+            ),
+            "V": ot.random_physical_transformation(
+                [Leg("a", 1, INPUT, 2)], [Leg("b", 2, OUTPUT, 3)], rng
+            ),
+        }
+        frag_a, frag_b = ot.parse_circuit("W_{a1}^{a2}"), ot.parse_circuit(text_b)
+        with pytest.raises(ot.SignatureMismatchError, match="different open ports"):
+            ot.formalism_locality_ratio(frag_a, frag_b, binding)
 
     def test_zero_reference_fragment(self, rng):
         frag_a = ot.parse_circuit("P^{a1}")
@@ -493,7 +633,7 @@ def _reference_foliated(
     bound = _bind_circuit(circuit, binding, eps, check_physical).ops
     fol = foliate(circuit, policy)
 
-    # Relabeling keeps leg order and matrix (see _BoundCircuit), so one
+    # Relabeling keeps leg order and matrix (see _BoundFragment), so one
     # Choi tensor serves every operation with a given name.
     chois: dict[str, np.ndarray] = {}
     live: list[int] = []  # wire ids carried by the state, in axis order
@@ -527,7 +667,7 @@ def _reference_foliated(
                 + [state_subs[k + i] for i in keep]
                 + out_new[q:]
             )
-            state = _pair_contract(state, state_subs, choi, choi_subs, out_subs)
+            state = pair_contract(state, state_subs, choi, choi_subs, out_subs)
             live = [live[i] for i in keep] + [w.id for w in decl.outputs]
     if live:
         raise AssertionError("open wires remained after the final layer")

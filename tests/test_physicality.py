@@ -1,7 +1,6 @@
 """Physicality: spectral test, sandwich sampling, witnesses, complete sets,
 alternate-transpose layer positivity, and unitary transformations."""
 
-import math
 import sys
 
 import numpy as np
@@ -10,19 +9,9 @@ import pytest
 import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
 from optensor.notation import INPUT, OUTPUT
-from conftest import random_circuit
-from test_cli import count_bind_plan_check
+from conftest import count_bind_plan_check, inout_tensor, random_circuit
 
 PHI_PLUS = 0.5 * np.outer([1, 0, 0, 1], [1, 0, 0, 1])
-
-
-def _inout_tensor(op: LabeledOperator) -> tuple[np.ndarray, int, int]:
-    """Matrix permuted to inputs-then-outputs, reshaped (Nin, Nout, Nin, Nout)."""
-    order = [l.id for l in op.input_legs] + [l.id for l in op.output_legs]
-    arranged = op.permuted(order)
-    nin = math.prod(l.dim for l in op.input_legs)
-    nout = math.prod(l.dim for l in op.output_legs)
-    return arranged.matrix.reshape(nin, nout, nin, nout), nin, nout
 
 
 def pt_entangled_prep():
@@ -160,7 +149,7 @@ def _reference_sandwich_check(op, ancilla_dims, samples, seed, eps=1e-9):
     """sandwich_check as one five-operand einsum per ancilla dim, same draws."""
     from optensor.physicality import _haar_batch
 
-    tensor, nin, nout = _inout_tensor(op)
+    tensor, nin, nout = inout_tensor(op)
     dims = tuple(dict.fromkeys(max(1, int(g)) for g in ancilla_dims))
     rng = np.random.default_rng(seed)
     trace_out = np.einsum(tensor, [0, 1, 2, 1], [0, 2])

@@ -15,8 +15,7 @@ from optensor.duotensor import _fiducial_stack
 from optensor.notation import INPUT, OUTPUT
 from optensor.physicality import _haar_batch
 from optensor.tomography import _stream_states
-from conftest import SIGNATURES, signature_op
-from test_physicality import _inout_tensor
+from conftest import SIGNATURES, inout_tensor, signature_op
 
 
 @pytest.fixture(scope="module")
@@ -383,7 +382,7 @@ def _reference_convert_dots(dt, targets, fsets):
 
 
 def _reference_sandwich(op, ancilla_dims, samples, seed, eps=1e-9):
-    tensor, nin, nout = _inout_tensor(op)
+    tensor, nin, nout = inout_tensor(op)
     dims = tuple(dict.fromkeys(max(1, int(g)) for g in ancilla_dims))
     rng = np.random.default_rng(seed)
     trace_out = np.einsum(tensor, [0, 1, 2, 1], [0, 2])
