@@ -6,7 +6,7 @@ from typing import Mapping
 
 from .errors import SignatureMismatchError, UnboundOperationError
 from .notation import INPUT, OUTPUT, CircuitFragment, OperationDecl
-from .operators import LabeledOperator, Leg
+from .operators import LabeledOperator
 
 Binding = Mapping[str, LabeledOperator]
 
@@ -16,7 +16,8 @@ def relabel_to_decl(op: LabeledOperator, decl: OperationDecl) -> LabeledOperator
 
     The operator's input legs correspond positionally to the declaration's
     input ports, and likewise for outputs; system types must agree.  The
-    legs keep their order and the matrix is shared.
+    legs keep their order and the matrix is shared; each new leg copies the
+    already-validated one with only its wire id replaced.
     """
     ports = {INPUT: iter(decl.inputs), OUTPUT: iter(decl.outputs)}
     legs = []
@@ -24,7 +25,7 @@ def relabel_to_decl(op: LabeledOperator, decl: OperationDecl) -> LabeledOperator
         wire = next(ports[leg.role], None)
         if wire is None or wire.sys != leg.sys:
             raise _signature_error(op, decl)
-        legs.append(Leg(wire.sys, wire.id, leg.role, leg.dim))
+        legs.append(leg._on_wire(wire.id))
     if len(legs) != len(decl.inputs) + len(decl.outputs):
         raise _signature_error(op, decl)
     return LabeledOperator._from_valid(tuple(legs), op.matrix)

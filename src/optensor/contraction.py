@@ -9,22 +9,25 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimMismatchError, LabelArityError
 from .notation import WireLabel
-from .operators import LabeledOperator, scalar_operator
+from .operators import LabeledOperator, Leg, scalar_operator
 
 
 @dataclass(frozen=True)
 class PlanStep:
     """One pairwise contraction: operands by index, wires contracted, produced size.
 
-    ``recipe`` is ``(axes, perm)``: the step is ``np.tensordot(left, right,
-    axes).transpose(perm)`` on tensors with one ket then one bra axis per leg.
+    ``recipe`` is ``(pa, sa, pb, sb, shape, perm)``, the arguments that
+    ``np.tensordot`` would work out for the step on tensors with one ket then
+    one bra axis per leg: the step is :func:`_run_step`, i.e.
+    ``dot(left.transpose(pa).reshape(sa), right.transpose(pb).reshape(sb))``
+    reshaped to ``shape`` and transposed by ``perm``.
     """
 
     left: int
@@ -39,7 +42,6 @@ class PlanStep:
         return f"contract {self.left} {self.right} over [{wires}] -> dim {self.result_dim}"
 
 
-@dataclass(frozen=True)
 class ContractionPlan:
     """An ordered pairwise plan over an operand list.
 
@@ -47,13 +49,71 @@ class ContractionPlan:
     reaches while executing the steps.  ``operand_legs`` are the legs of the
     operands the plan was built for, and ``result_legs`` the legs of the
     result, ordered as they first appear in the operand scan.
+
+    A planner's plan is held as its ``program``: one row ``(left, right,
+    over, result_dim, result_index, recipe)`` per step, with ``over`` as wire
+    ids, plus ``operand_shapes``, each operand's tensor shape; that is what
+    :func:`execute_plan` runs.  Its :class:`PlanStep` objects are built from
+    the rows when ``steps`` is first read, so evaluating a circuit makes no
+    per-step object.  A plan given its steps directly has no program and is
+    for comparison only.  Plans compare by operand count, peak and steps.
     """
 
-    n_operands: int
-    steps: tuple[PlanStep, ...]
-    peak_dim: int
-    operand_legs: tuple = field(default=(), compare=False, repr=False)
-    result_legs: tuple = field(default=(), compare=False, repr=False)
+    __slots__ = (
+        "n_operands", "_steps", "peak_dim", "operand_legs", "result_legs",
+        "program", "operand_shapes",
+    )
+
+    def __init__(
+        self,
+        n_operands: int,
+        steps: Sequence[PlanStep] | None,
+        peak_dim: int,
+        operand_legs: tuple = (),
+        result_legs: tuple = (),
+        program: tuple = (),
+        operand_shapes: tuple = (),
+    ):
+        for name, value in (
+            ("n_operands", n_operands),
+            ("_steps", None if steps is None else tuple(steps)),
+            ("peak_dim", peak_dim),
+            ("operand_legs", operand_legs),
+            ("result_legs", result_legs),
+            ("program", program),
+            ("operand_shapes", operand_shapes),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ContractionPlan is immutable")
+
+    @property
+    def steps(self) -> tuple[PlanStep, ...]:
+        if self._steps is None:
+            sys_of = {leg.id: leg.sys for legs in self.operand_legs for leg in legs}
+            steps = tuple(
+                PlanStep(i, j, tuple(WireLabel(sys_of[w], w) for w in over), dim, k, recipe)
+                for i, j, over, dim, k, recipe in self.program
+            )
+            object.__setattr__(self, "_steps", steps)
+        return self._steps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n_operands, self.peak_dim, self.steps) == (
+            other.n_operands, other.peak_dim, other.steps
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n_operands, self.peak_dim, self.steps))
+
+    def __repr__(self) -> str:
+        return (
+            f"ContractionPlan(n_operands={self.n_operands!r}, steps={self.steps!r}, "
+            f"peak_dim={self.peak_dim!r})"
+        )
 
     def dump(self) -> str:
         return "\n".join(str(s) for s in self.steps)
@@ -66,20 +126,22 @@ def _wire_ends(ops: Sequence[LabeledOperator]) -> dict[int, list[int]]:
     legs, one output and one input, of the same type and dimension.
     """
     ends: dict[int, list[int]] = {}
+    first: dict[int, Leg] = {}  # wire id -> the leg that first carries it
     for i, op in enumerate(ops):
         for leg in op.legs:
             holders = ends.setdefault(leg.id, [])
             if not holders:
                 holders.append(i)
+                first[leg.id] = leg
                 continue
             if len(holders) >= 2:
                 raise LabelArityError(f"wire id {leg.id} appears more than twice")
-            first = ops[holders[0]].leg(leg.id)
-            if first.role == leg.role:
+            other = first[leg.id]
+            if other.role == leg.role:
                 raise LabelArityError(f"wire id {leg.id} appears twice as {leg.role}")
-            if first.sys != leg.sys or first.dim != leg.dim:
+            if other.sys != leg.sys or other.dim != leg.dim:
                 raise DimMismatchError(
-                    f"wire id {leg.id} joins {first.sys}(dim {first.dim}) "
+                    f"wire id {leg.id} joins {other.sys}(dim {other.dim}) "
                     f"to {leg.sys}(dim {leg.dim})"
                 )
             holders.append(i)
@@ -97,14 +159,33 @@ def contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
 
 
 class _PlanBuilder:
-    """Records the steps of a plan, with their recipes, as operand pairs are chosen."""
+    """Records a plan's steps as integer rows, with their recipes, as operand pairs are chosen.
+
+    It works on integer tables: ``dim_of`` maps each wire id to its
+    dimension, ``wires_of`` each live operand to its wire ids in leg order,
+    and ``size_of`` each live operand to its total dimension.
+    """
 
     def __init__(self, ops: Sequence[LabeledOperator]):
         self.n_operands = len(ops)
         self.operand_legs = tuple(op.legs for op in ops)
-        self.legs_of: dict[int, tuple] = dict(enumerate(self.operand_legs))
-        self.steps: list[PlanStep] = []
-        self.peak = max((op.dim for op in ops), default=1)
+        self.dim_of: dict[int, int] = {}
+        self.wires_of: dict[int, tuple[int, ...]] = {}
+        self.size_of: dict[int, int] = {}
+        shapes = []
+        for i, legs in enumerate(self.operand_legs):
+            wires, dims, size = [], [], 1
+            for leg in legs:
+                wires.append(leg.id)
+                dims.append(leg.dim)
+                size *= leg.dim
+                self.dim_of[leg.id] = leg.dim
+            self.wires_of[i] = tuple(wires)
+            self.size_of[i] = size
+            shapes.append((*dims, *dims))
+        self.operand_shapes = tuple(shapes)
+        self.rows: list[tuple] = []
+        self.peak = max(self.size_of.values(), default=1)
 
     def contract(self, i: int, j: int) -> int:
         """Append the step joining live operands ``i`` and ``j``; return its index.
@@ -112,42 +193,72 @@ class _PlanBuilder:
         Shared wires are listed in the left operand's leg order; surviving
         legs are the left operand's followed by the right operand's.  On each
         shared wire the left operand's ket axis meets the right operand's bra
-        axis and vice versa: a producer's ket is its consumer's bra.
+        axis and vice versa: a producer's ket is its consumer's bra.  The
+        recipe holds what ``np.tensordot`` would compute on each call: both
+        operands' transposes (kept axes and contracted axes apart, in
+        tensordot's order) and 2-D shapes, the product's shape, and the
+        permutation from tensordot's axis order (the left's kept kets then
+        bras, then the right's) to kets then bras.
         """
-        left, right = self.legs_of.pop(i), self.legs_of.pop(j)
-        at_right = {leg.id: b for b, leg in enumerate(right)}
-        ids_left = {leg.id for leg in left}
-        shared_left = [a for a, leg in enumerate(left) if leg.id in at_right]
-        shared_right = [at_right[left[a].id] for a in shared_left]
-        axes = (
-            shared_left + [len(left) + a for a in shared_left],
-            [len(right) + b for b in shared_right] + shared_right,
-        )
-        legs = tuple(leg for leg in left if leg.id not in at_right) + tuple(
-            leg for leg in right if leg.id not in ids_left
-        )
-        # tensordot leaves the left's kept kets then bras, then the right's
-        p, n = len(left) - len(shared_left), len(legs)
+        left, right = self.wires_of.pop(i), self.wires_of.pop(j)
+        dim_of = self.dim_of
+        nl, nr = len(left), len(right)
+        # one pass over each operand: ket and bra axes kept and contracted,
+        # the kept wires and their dims, the kept and contracted sizes
+        kets_a, bras_a, sum_kets_a, sum_bras_a = [], [], [], []
+        kets_b, bras_b, sum_kets_b, sum_bras_b = [], [], [], []
+        over, wires, dims_a, dims_b = [], [], [], []
+        inner = size_a = size_b = 1
+        for a, w in enumerate(left):
+            if w in right:
+                b = right.index(w)
+                sum_kets_a.append(a)
+                sum_bras_a.append(nl + a)
+                sum_kets_b.append(b)
+                sum_bras_b.append(nr + b)
+                over.append(w)
+                inner *= dim_of[w]
+            else:
+                kets_a.append(a)
+                bras_a.append(nl + a)
+                wires.append(w)
+                dims_a.append(dim_of[w])
+                size_a *= dim_of[w]
+        for b, w in enumerate(right):
+            if w not in left:
+                kets_b.append(b)
+                bras_b.append(nr + b)
+                wires.append(w)
+                dims_b.append(dim_of[w])
+                size_b *= dim_of[w]
+        pa = (*kets_a, *bras_a, *sum_kets_a, *sum_bras_a)
+        pb = (*sum_bras_b, *sum_kets_b, *kets_b, *bras_b)
+        p, n = len(kets_a), len(wires)
         perm = (*range(p), *range(2 * p, p + n), *range(p, 2 * p), *range(p + n, 2 * n))
-        dim = math.prod(leg.dim for leg in legs)
-        k = self.n_operands + len(self.steps)
-        over = tuple(left[a].wire for a in shared_left)
-        self.steps.append(PlanStep(i, j, over, dim, k, (axes, perm)))
-        self.legs_of[k] = legs
+        sa, sb = (size_a * size_a, inner * inner), (inner * inner, size_b * size_b)
+        recipe = (pa, sa, pb, sb, (*dims_a, *dims_a, *dims_b, *dims_b), perm)
+        dim = size_a * size_b
+        k = self.n_operands + len(self.rows)
+        self.rows.append((i, j, tuple(over), dim, k, recipe))
+        self.wires_of[k] = tuple(wires)
+        self.size_of[k] = dim
         self.peak = max(self.peak, dim)
         return k
 
     def plan(self) -> ContractionPlan:
         """The plan, its last step reordering the result's legs to operand-scan order."""
-        (final,) = self.legs_of.values() or [()]
-        result_legs = tuple(leg for legs in self.operand_legs for leg in legs if leg in final)
-        if self.steps:
-            order = [final.index(leg) for leg in result_legs]
-            axes, perm = self.steps[-1].recipe
+        (final,) = self.wires_of.values() or [()]
+        result_legs = tuple(
+            leg for legs in self.operand_legs for leg in legs if leg.id in final
+        )
+        if self.rows:
+            order = [final.index(leg.id) for leg in result_legs]
+            *row, (pa, sa, pb, sb, shape, perm) = self.rows[-1]
             perm = tuple(perm[n] for n in order + [len(final) + n for n in order])
-            self.steps[-1] = replace(self.steps[-1], recipe=(axes, perm))
+            self.rows[-1] = (*row, (pa, sa, pb, sb, shape, perm))
         return ContractionPlan(
-            self.n_operands, tuple(self.steps), self.peak, self.operand_legs, result_legs
+            self.n_operands, None, self.peak, self.operand_legs, result_legs,
+            tuple(self.rows), self.operand_shapes,
         )
 
 
@@ -167,34 +278,35 @@ def plan_contraction(ops: Sequence[LabeledOperator]) -> ContractionPlan:
     """
     ends = _wire_ends(ops)
     builder = _PlanBuilder(ops)
-    legs_of = builder.legs_of
-    dims_of = {i: {leg.id: leg.dim for leg in legs} for i, legs in legs_of.items()}
-    size_of = {i: math.prod(dims.values()) for i, dims in dims_of.items()}
+    wires_of, size_of, dim_of = builder.wires_of, builder.size_of, builder.dim_of
 
     def candidate(i: int, j: int) -> tuple[int, int, int]:
         # each shared wire leaves both operands: the product loses d twice
-        dims_i, dims_j = dims_of[i], dims_of[j]
-        shared = math.prod(d * d for w, d in dims_i.items() if w in dims_j)
-        return size_of[i] * size_of[j] // shared, i, j
+        wires_j, shared = wires_of[j], 1
+        for w in wires_of[i]:
+            if w in wires_j:
+                shared *= dim_of[w]
+        return size_of[i] * size_of[j] // (shared * shared), i, j
 
     pairs = {tuple(holders) for holders in ends.values() if len(holders) == 2}
     heap = [candidate(i, j) for i, j in pairs]
     heapq.heapify(heap)
     while heap:
         _, i, j = heapq.heappop(heap)
-        if i not in legs_of or j not in legs_of:
+        if i not in wires_of or j not in wires_of:
             continue
         k = builder.contract(i, j)
-        dims_of[k] = {leg.id: leg.dim for leg in legs_of[k]}
-        size_of[k] = builder.steps[-1].result_dim
         neighbours = set()
-        for leg in legs_of[k]:
-            holders = ends[leg.id] = [k if h in (i, j) else h for h in ends[leg.id]]
-            neighbours.update(h for h in holders if h != k)
+        for w in wires_of[k]:
+            holders = ends[w]
+            if len(holders) == 2:  # the wire still joins k to another live operand
+                m = holders[1] if holders[0] in (i, j) else holders[0]
+                ends[w] = [m, k]
+                neighbours.add(m)
         for m in neighbours:
             heapq.heappush(heap, candidate(m, k))
 
-    remaining = sorted(legs_of)
+    remaining = sorted(wires_of)
     while len(remaining) > 1:
         remaining = [builder.contract(remaining[0], remaining[1])] + remaining[2:]
     return builder.plan()
@@ -210,10 +322,20 @@ def plan_left_to_right(ops: Sequence[LabeledOperator]) -> ContractionPlan:
     return builder.plan()
 
 
-def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> LabeledOperator:
-    """Run a plan on raw tensors and wrap only the result as an operator.
+def _run_step(recipe: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One plan step on raw tensors: ``np.tensordot``'s own calls, then the permutation."""
+    pa, sa, pb, sb, shape, perm = recipe
+    product = np.dot(a.transpose(pa).reshape(sa), b.transpose(pb).reshape(sb))
+    return product.reshape(shape).transpose(perm)
 
-    Each step is its recipe: one ``tensordot`` and one ``transpose``.
+
+def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> LabeledOperator:
+    """Run a plan's program on raw tensors and wrap only the result as an operator.
+
+    Each step is :func:`_run_step` on its recipe: two transposes and
+    reshapes, one ``np.dot`` (BLAS), and a reshape and transpose of the
+    product; that is the sequence ``np.tensordot`` runs, without its
+    per-call argument handling, so the values are the same bit for bit.
     Intermediates are neither checked nor symmetrized: contracting two
     Hermitian operators over the wires they share gives a Hermitian one in
     exact arithmetic.  The result is built once with the full constructor
@@ -226,11 +348,11 @@ def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> Label
         raise ValueError("plan was built for operands with other legs")
     if not ops:
         return scalar_operator(1.0)
-    tensors = {i: op.tensor() for i, op in enumerate(ops)}
-    for step in plan.steps:
-        axes, perm = step.recipe
-        product = np.tensordot(tensors.pop(step.left), tensors.pop(step.right), axes)
-        tensors[step.result_index] = product.transpose(perm)
+    tensors = {
+        i: op.matrix.reshape(shape) for i, (op, shape) in enumerate(zip(ops, plan.operand_shapes))
+    }
+    for left, right, _, _, k, recipe in plan.program:
+        tensors[k] = _run_step(recipe, tensors.pop(left), tensors.pop(right))
     (tensor,) = tensors.values()
     dim = math.prod(leg.dim for leg in plan.result_legs)
     return LabeledOperator(plan.result_legs, tensor.reshape(dim, dim))

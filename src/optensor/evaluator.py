@@ -86,6 +86,10 @@ class _BoundFragment:
             name: _transfer_matrix(op.permuted([w.id for w in decl.labels]))
             for name, (decl, op) in self.first.items()
         }
+        axis_sizes = {
+            name: [self.wire_dims[w.id] ** 2 for w in decl.outputs]
+            for name, (decl, _) in self.first.items()
+        }
         size = peak = 1
         for op_index in steps:
             n_in, n_out = transfers[decls[op_index].name].shape
@@ -101,17 +105,17 @@ class _BoundFragment:
             ) from exc
         state[0] = 1.0
         live: list[int] = []  # wire ids carried by the state, in axis order
+        shape: list[int] = []  # their axis sizes, d**2 each
+        size = 1
         for op_index in steps:
             decl = decls[op_index]
-            transfer = transfers[decl.name]
+            transfer, out_sizes = transfers[decl.name], axis_sizes[decl.name]
             n_in, n_out = transfer.shape
             consumed = [live.index(w.id) for w in decl.inputs]
             # the consumed wires, in declaration order, form the block
             # live[start:stop]; a preparation's empty block is at the end
             start = min(consumed, default=len(live))
             stop = start + len(consumed)
-            shape = [self.wire_dims[w] ** 2 for w in live]
-            size = math.prod(shape)
             if consumed != list(range(start, stop)):
                 order = [*range(start), *consumed]
                 order += [i for i in range(start, len(live)) if i not in consumed]
@@ -133,7 +137,9 @@ class _BoundFragment:
                     out=out.reshape(rows, n_out, cols),
                 )
             state, spare = spare, state
+            size = out.size
             live[start:stop] = [w.id for w in decl.outputs]
+            shape[start:stop] = out_sizes
         if live:
             raise AssertionError("open wires remained after the final layer")
         return float(state[0])

@@ -50,6 +50,13 @@ class Leg:
     def wire(self) -> WireLabel:
         return WireLabel(self.sys, self.id)
 
+    def _on_wire(self, wire_id: int) -> Leg:
+        """This leg with only its wire id replaced: a copy that skips re-validation."""
+        leg = object.__new__(Leg)
+        leg.__dict__.update(self.__dict__)
+        leg.__dict__["id"] = wire_id
+        return leg
+
     def __str__(self) -> str:
         return f"{self.sys}{self.id}:{self.role[:3]}"
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from operator import itemgetter
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -33,23 +34,31 @@ from .operators import LabeledOperator, Leg
 class _FiducialBox:
     """A hidden operator whose fiducial-circuit values are computed all at once.
 
-    The memo maps the tuple of fiducial sets on the legs to the box's array
-    of values, one per setting; the sets are immutable and hash by identity.
+    The memo maps the fiducial sets on the legs (a tuple, or the one set of
+    a one-leg box) to the box's array of values, one per setting; the sets
+    are immutable and hash by identity.  The key is looked up by one
+    ``itemgetter`` made once per box, so a box asked setting by setting pays
+    no per-call rebuild of it.
     """
 
     hidden: LabeledOperator
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _key: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        systems = [leg.sys for leg in self.hidden.legs]
+        key = itemgetter(*systems) if systems else lambda fsets: ()
+        object.__setattr__(self, "_key", key)
 
     @property
     def signature(self) -> tuple[Leg, ...]:
         return self.hidden.legs
 
     def _values(self, fsets: Mapping[str, FiducialSet]) -> np.ndarray:
-        legs = self.hidden.legs
-        key = tuple(fsets[leg.sys] for leg in legs)
+        key = self._key(fsets)
         values = self._memo.get(key)
         if values is None:
-            stacks = [_fiducial_stack(fsets, leg, probing=True) for leg in legs]
+            stacks = [_fiducial_stack(fsets, leg, probing=True) for leg in self.hidden.legs]
             values = self._memo[key] = self._from_overlaps(_fiducial_overlaps(self.hidden, stacks))
         return values
 

@@ -5,6 +5,7 @@ Kraus evolution of the density matrix computed entirely outside the
 contraction machinery.
 """
 
+import heapq
 import math
 from typing import Sequence
 
@@ -15,13 +16,14 @@ from conftest import (
     pair_contract,
     random_brickwork,
     random_circuit,
+    random_dag,
     random_open_fragment,
 )
 
 import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
 from optensor.binding import resolve_binding
-from optensor.contraction import ContractionPlan, PlanStep
+from optensor.contraction import ContractionPlan, PlanStep, _run_step
 from optensor.errors import DimMismatchError, LabelArityError
 from optensor.notation import INPUT, OUTPUT
 
@@ -539,7 +541,8 @@ class TestRawExecutor:
 
 
 # ---------------------------------------------------------------------------
-# Each plan step's recipe against the wire-id subscript rule it replaced.
+# Each plan step, run by the executor's step code on its recipe, against the
+# wire-id subscript rule it replaced.
 
 
 def _einsum_step(x, x_legs, y, y_legs, legs):
@@ -569,8 +572,7 @@ class TestPlanRecipe:
                     if n == len(plan.steps) - 1:  # the last step also reorders
                         assert sorted(plan.result_legs, key=str) == sorted(legs, key=str)
                         legs = plan.result_legs
-                    axes, perm = step.recipe
-                    got = np.tensordot(x, y, axes).transpose(perm)
+                    got = _run_step(step.recipe, x, y)
                     want = _einsum_step(x, x_legs, y, y_legs, legs)
                     assert got.shape == want.shape
                     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
@@ -596,3 +598,46 @@ class TestPlanRecipe:
                 with pytest.raises(ValueError, match="plan was built for operands with other legs"):
                     ot.execute_plan(other, plan)
                 ot.execute_plan(other, ot.plan_contraction(other))
+
+
+# ---------------------------------------------------------------------------
+# Growth pinned by counts rather than clocks.
+
+
+def _spy(monkeypatch, owner, name, weigh=lambda *args: 1) -> list:
+    """Patch ``owner.name`` to record ``weigh(*args)`` at each call; return the records."""
+    original, records = getattr(owner, name), []
+
+    def spy(*args):
+        records.append(weigh(*args))
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return records
+
+
+class TestCounts:
+    def test_greedy_steps_and_heap_pushes_grow_linearly(self, monkeypatch):
+        pushes = _spy(monkeypatch, heapq, "heappush")
+        heaped = _spy(monkeypatch, heapq, "heapify", len)
+        for n_ops in (500, 1000, 2000, 4000):
+            ops = resolve_binding(*random_dag(np.random.default_rng(7), n_ops, 6))
+            pushes.clear()
+            heaped.clear()
+            plan = ot.plan_contraction(ops)
+            assert len(plan.steps) == n_ops - 1
+            # 3.18 to 3.36 entries per operation at these sizes
+            assert len(pushes) + sum(heaped) < 4 * n_ops
+
+    def test_executor_makes_one_gemm_per_step_and_no_tensordot(self, rng, monkeypatch):
+        cases = executor_cases(rng)
+        cases.append(resolve_binding(*random_dag(np.random.default_rng(7), 1000, 6)))
+        plans = [(ops, planner(ops)) for ops in cases
+                 for planner in (ot.plan_contraction, ot.plan_left_to_right)]
+        gemms = _spy(monkeypatch, np, "dot")
+        tensordots = _spy(monkeypatch, np, "tensordot")
+        for ops, plan in plans:
+            gemms.clear()
+            ot.execute_plan(ops, plan)
+            assert len(gemms) == len(plan.steps)
+        assert tensordots == []

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import optensor as ot
-from optensor import Leg, SystemType, WireLabel
+from optensor import Leg, SystemType, WireLabel, tomography
 from optensor.cli import main
 from optensor.contraction import circuit_trace
 from optensor.duotensor import _fiducial_stack
 from optensor.notation import INPUT, OUTPUT
 from optensor.physicality import _haar_batch
 from optensor.tomography import _stream_states
-from conftest import SIGNATURES, inout_tensor, signature_op
+from conftest import SIGNATURES, count_calls, inout_tensor, signature_op
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +329,31 @@ class TestSampledProbeOracle:
         assert box.asked == list(np.ndindex(4, 4))
         assert all(type(i) is int for setting in box.asked for i in setting)
         assert np.array_equal(black, ot.probe(inner, fsets).data)
+
+    @pytest.mark.parametrize("ins, outs", SIGNATURES)
+    def test_box_asked_setting_by_setting_computes_the_overlaps_once(
+        self, ins, outs, monkeypatch
+    ):
+        class Wrapping:  # as a foreign box would, it asks the inner box per setting
+            def __init__(self, box):
+                self.box = box
+
+            @property
+            def signature(self):
+                return self.box.signature
+
+            def probability(self, setting, fsets):
+                return self.box.probability(setting, fsets)
+
+        op = signature_op(ins, outs, seed=len(ins) * 10 + len(outs))
+        fsets = ot.default_fiducials_for(op)
+        calls = count_calls(monkeypatch, tomography, "_fiducial_overlaps")
+        for make in (lambda: ot.ExactBlackBox(op), lambda: ot.SampledBlackBox(op, 1000, seed=3)):
+            want = ot.probe(make(), fsets).data
+            calls.clear()
+            black = ot.probe(Wrapping(make()), fsets).data
+            assert np.array_equal(black, want)
+            assert len(calls) == 1
 
 
 # The per-leg fiducial kernel against the einsum expressions it replaced,
