@@ -9,19 +9,17 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimMismatchError, LabelArityError
-from .notation import WireLabel
 from .operators import LabeledOperator, Leg, scalar_operator
 
 
-@dataclass(frozen=True)
-class PlanStep:
-    """One pairwise contraction: operands by index, wires contracted, produced size.
+class PlanStep(NamedTuple):
+    """One pairwise contraction: operands by index, wire ids contracted, produced size.
 
     ``recipe`` is ``(pa, sa, pb, sb, shape, perm)``, the arguments that
     ``np.tensordot`` would work out for the step on tensors with one ket then
@@ -32,91 +30,37 @@ class PlanStep:
 
     left: int
     right: int
-    over: tuple[WireLabel, ...]
+    over: tuple[int, ...]
     result_dim: int
     result_index: int
-    recipe: tuple | None = field(default=None, compare=False, repr=False)
-
-    def __str__(self) -> str:
-        wires = " ".join(str(w) for w in self.over)
-        return f"contract {self.left} {self.right} over [{wires}] -> dim {self.result_dim}"
+    recipe: tuple
 
 
+@dataclass(frozen=True)
 class ContractionPlan:
     """An ordered pairwise plan over an operand list.
 
     ``peak_dim`` is the largest total dimension any produced intermediate
     reaches while executing the steps.  ``operand_legs`` are the legs of the
-    operands the plan was built for, and ``result_legs`` the legs of the
-    result, ordered as they first appear in the operand scan.
-
-    A planner's plan is held as its ``program``: one row ``(left, right,
-    over, result_dim, result_index, recipe)`` per step, with ``over`` as wire
-    ids, plus ``operand_shapes``, each operand's tensor shape; that is what
-    :func:`execute_plan` runs.  Its :class:`PlanStep` objects are built from
-    the rows when ``steps`` is first read, so evaluating a circuit makes no
-    per-step object.  A plan given its steps directly has no program and is
-    for comparison only.  Plans compare by operand count, peak and steps.
+    operands the plan was built for, ``result_legs`` the legs of the result,
+    ordered as they first appear in the operand scan, and ``operand_shapes``
+    each operand's tensor shape, one ket then one bra axis per leg.
     """
 
-    __slots__ = (
-        "n_operands", "_steps", "peak_dim", "operand_legs", "result_legs",
-        "program", "operand_shapes",
-    )
-
-    def __init__(
-        self,
-        n_operands: int,
-        steps: Sequence[PlanStep] | None,
-        peak_dim: int,
-        operand_legs: tuple = (),
-        result_legs: tuple = (),
-        program: tuple = (),
-        operand_shapes: tuple = (),
-    ):
-        for name, value in (
-            ("n_operands", n_operands),
-            ("_steps", None if steps is None else tuple(steps)),
-            ("peak_dim", peak_dim),
-            ("operand_legs", operand_legs),
-            ("result_legs", result_legs),
-            ("program", program),
-            ("operand_shapes", operand_shapes),
-        ):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ContractionPlan is immutable")
-
-    @property
-    def steps(self) -> tuple[PlanStep, ...]:
-        if self._steps is None:
-            sys_of = {leg.id: leg.sys for legs in self.operand_legs for leg in legs}
-            steps = tuple(
-                PlanStep(i, j, tuple(WireLabel(sys_of[w], w) for w in over), dim, k, recipe)
-                for i, j, over, dim, k, recipe in self.program
-            )
-            object.__setattr__(self, "_steps", steps)
-        return self._steps
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n_operands, self.peak_dim, self.steps) == (
-            other.n_operands, other.peak_dim, other.steps
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_operands, self.peak_dim, self.steps))
-
-    def __repr__(self) -> str:
-        return (
-            f"ContractionPlan(n_operands={self.n_operands!r}, steps={self.steps!r}, "
-            f"peak_dim={self.peak_dim!r})"
-        )
+    steps: tuple[PlanStep, ...]
+    peak_dim: int
+    operand_legs: tuple[tuple[Leg, ...], ...]
+    result_legs: tuple[Leg, ...]
+    operand_shapes: tuple[tuple[int, ...], ...]
 
     def dump(self) -> str:
-        return "\n".join(str(s) for s in self.steps)
+        """One line per step, each contracted wire written as ``sys`` then id."""
+        sys_of = {leg.id: leg.sys for legs in self.operand_legs for leg in legs}
+        lines = []
+        for left, right, over, dim, _, _ in self.steps:
+            wires = " ".join(f"{sys_of[w]}{w}" for w in over)
+            lines.append(f"contract {left} {right} over [{wires}] -> dim {dim}")
+        return "\n".join(lines)
 
 
 def _wire_ends(ops: Sequence[LabeledOperator]) -> dict[int, list[int]]:
@@ -159,7 +103,7 @@ def contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
 
 
 class _PlanBuilder:
-    """Records a plan's steps as integer rows, with their recipes, as operand pairs are chosen.
+    """Records a plan's steps, with their recipes, as operand pairs are chosen.
 
     It works on integer tables: ``dim_of`` maps each wire id to its
     dimension, ``wires_of`` each live operand to its wire ids in leg order,
@@ -257,8 +201,8 @@ class _PlanBuilder:
             perm = tuple(perm[n] for n in order + [len(final) + n for n in order])
             self.rows[-1] = (*row, (pa, sa, pb, sb, shape, perm))
         return ContractionPlan(
-            self.n_operands, None, self.peak, self.operand_legs, result_legs,
-            tuple(self.rows), self.operand_shapes,
+            tuple(map(PlanStep._make, self.rows)), self.peak, self.operand_legs,
+            result_legs, self.operand_shapes,
         )
 
 
@@ -330,7 +274,7 @@ def _run_step(recipe: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> LabeledOperator:
-    """Run a plan's program on raw tensors and wrap only the result as an operator.
+    """Run a plan's steps on raw tensors and wrap only the result as an operator.
 
     Each step is :func:`_run_step` on its recipe: two transposes and
     reshapes, one ``np.dot`` (BLAS), and a reshape and transpose of the
@@ -351,7 +295,7 @@ def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> Label
     tensors = {
         i: op.matrix.reshape(shape) for i, (op, shape) in enumerate(zip(ops, plan.operand_shapes))
     }
-    for left, right, _, _, k, recipe in plan.program:
+    for left, right, _, _, k, recipe in plan.steps:
         tensors[k] = _run_step(recipe, tensors.pop(left), tensors.pop(right))
     (tensor,) = tensors.values()
     dim = math.prod(leg.dim for leg in plan.result_legs)

@@ -165,6 +165,10 @@ class DuoIndex:
     color: str
 
     def __post_init__(self):
+        if self.role not in (INPUT, OUTPUT):
+            raise ValueError(f"role must be {INPUT!r} or {OUTPUT!r}, got {self.role!r}")
+        if self.dim < 1:
+            raise ValueError(f"duotensor index {self.sys}{self.id} needs dim >= 1")
         if self.color not in (BLACK, WHITE):
             raise ValueError(f"color must be {BLACK!r} or {WHITE!r}")
 

@@ -330,17 +330,17 @@ def canonicalize(frag: CircuitFragment) -> CircuitFragment:
     chosen, which makes the whole map idempotent.
     """
     seen: dict[str, int] = {}
-    trail: list[CircuitFragment] = []
-    current = frag
+    trail: list[tuple[str, tuple[OperationDecl, ...]]] = []
+    ops = frag.ops
     while True:
-        ops = _renumber(tuple(sorted(current.ops, key=_sort_key)))
-        current = fragment_from_ops(ops)
-        text = str(current)
+        ops = _renumber(tuple(sorted(ops, key=_sort_key)))
+        text = " ".join(str(op) for op in ops)
         if text in seen:
-            cycle = trail[seen[text]:]
-            return min(cycle, key=str)
+            # renumbering a valid fragment keeps it valid: validate only the choice
+            _, chosen = min(trail[seen[text]:], key=lambda entry: entry[0])
+            return fragment_from_ops(chosen)
         seen[text] = len(trail)
-        trail.append(current)
+        trail.append((text, ops))
 
 
 def print_circuit(frag: CircuitFragment) -> str:
@@ -488,6 +488,8 @@ def foliate(frag: CircuitFragment, policy: str = "earliest") -> Foliation:
     allow within the same layer count.  Wires spanning more than one layer
     boundary are padded with recorded identity transformations.
     """
+    if policy not in ("earliest", "latest"):
+        raise ValueError(f"unknown foliation policy {policy!r}")
     n = len(frag.ops)
     if n == 0:
         return Foliation((), ())
@@ -504,8 +506,6 @@ def foliate(frag: CircuitFragment, policy: str = "earliest") -> Foliation:
             if succ[i]:
                 late[i] = min(late[s] for s in succ[i]) - 1
         depth = late
-    elif policy != "earliest":
-        raise ValueError(f"unknown foliation policy {policy!r}")
 
     layers: list[list[int]] = [[] for _ in range(n_layers)]
     for i, d in enumerate(depth):

@@ -23,7 +23,7 @@ from conftest import (
 import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
 from optensor.binding import resolve_binding
-from optensor.contraction import ContractionPlan, PlanStep, _run_step
+from optensor.contraction import ContractionPlan, _run_step
 from optensor.errors import DimMismatchError, LabelArityError
 from optensor.notation import INPUT, OUTPUT
 
@@ -158,6 +158,27 @@ class TestPlanner:
         assert "over [a1]" in plan.dump() or "over [a2]" in plan.dump()
         assert all("-> dim" in line for line in lines)
 
+    def test_multi_step_dump_is_pinned(self):
+        """Qubit (a) and qutrit (b) wires, ending in a tensor-product step."""
+        frag, binding = mixed_circuits(np.random.default_rng(0))[4]
+        assert str(frag) == (
+            "Op0^{b1 b2} Op1_{b1}^{b3 a4} Op2_{b3 a4} Op3_{b2}^{b5} Op4_{b5}^{a6} "
+            "Op5_{a6}^{b7 b8} Op6_{b7 b8}^{a9} Op7_{a9}^{a10 a11} Op8_{a10 a11} S"
+        )
+        plan = ot.plan_contraction(resolve_binding(frag, binding))
+        assert plan.dump() == (
+            "contract 7 8 over [a10 a11] -> dim 2\n"
+            "contract 1 2 over [b3 a4] -> dim 3\n"
+            "contract 0 11 over [b1] -> dim 3\n"
+            "contract 3 12 over [b2] -> dim 3\n"
+            "contract 4 13 over [b5] -> dim 2\n"
+            "contract 5 6 over [b7 b8] -> dim 4\n"
+            "contract 10 15 over [a9] -> dim 2\n"
+            "contract 14 16 over [a6] -> dim 1\n"
+            "contract 9 17 over [] -> dim 1"
+        )
+        assert plan.peak_dim == 18
+
     def test_greedy_matches_left_to_right(self, rng):
         for _ in range(15):
             frag, binding = random_circuit(rng, max_ops=7)
@@ -181,14 +202,16 @@ def test_result_label_order_is_first_appearance(rng):
 
 # ---------------------------------------------------------------------------
 # Plan identity: the heap planner against the planners it replaced.  Both
-# references are kept verbatim apart from their names and docstrings; their
-# wiring check is left to the planners under test, which must raise first.
+# references are kept verbatim apart from their names, docstrings and return
+# value: each returns its steps as ``(left, right, over, result_dim,
+# result_index)`` rows, ``over`` as wire labels, and its peak.  Their wiring
+# check is left to the planners under test, which must raise first.
 
 
-def _reference_greedy(ops: Sequence[LabeledOperator]) -> ContractionPlan:
+def _reference_greedy(ops: Sequence[LabeledOperator]) -> tuple[tuple, int]:
     """The greedy planner as a full rescan of live pairs each round: O(n^3)."""
     legs_of: dict[int, tuple] = {i: op.legs for i, op in enumerate(ops)}
-    steps: list[PlanStep] = []
+    steps: list[tuple] = []
     next_index = len(ops)
     peak = max((op.dim for op in ops), default=1)
 
@@ -218,7 +241,7 @@ def _reference_greedy(ops: Sequence[LabeledOperator]) -> ContractionPlan:
             break
         _, i, j = best
         legs, dim, over = result_of(i, j)
-        steps.append(PlanStep(i, j, over, dim, next_index))
+        steps.append((i, j, over, dim, next_index))
         legs_of[next_index] = legs
         del legs_of[i], legs_of[j]
         peak = max(peak, dim)
@@ -229,22 +252,22 @@ def _reference_greedy(ops: Sequence[LabeledOperator]) -> ContractionPlan:
         i, j = remaining[0], remaining[1]
         legs = legs_of[i] + legs_of[j]
         dim = int(np.prod([l.dim for l in legs])) if legs else 1
-        steps.append(PlanStep(i, j, (), dim, next_index))
+        steps.append((i, j, (), dim, next_index))
         legs_of[next_index] = legs
         del legs_of[i], legs_of[j]
         peak = max(peak, dim)
         remaining = [next_index] + remaining[2:]
         next_index += 1
 
-    return ContractionPlan(len(ops), tuple(steps), peak)
+    return tuple(steps), peak
 
 
-def _reference_left_to_right(ops: Sequence[LabeledOperator]) -> ContractionPlan:
+def _reference_left_to_right(ops: Sequence[LabeledOperator]) -> tuple[tuple, int]:
     """The sequential fold plan as first written."""
     if not ops:
-        return ContractionPlan(0, (), 1)
+        return (), 1
     legs_of = {i: op.legs for i, op in enumerate(ops)}
-    steps: list[PlanStep] = []
+    steps: list[tuple] = []
     peak = max(op.dim for op in ops)
     acc = 0
     next_index = len(ops)
@@ -256,12 +279,12 @@ def _reference_left_to_right(ops: Sequence[LabeledOperator]) -> ContractionPlan:
             l for l in legs_of[j] if l.id not in ids_acc
         )
         dim = int(np.prod([l.dim for l in legs])) if legs else 1
-        steps.append(PlanStep(acc, j, over, dim, next_index))
+        steps.append((acc, j, over, dim, next_index))
         legs_of[next_index] = legs
         peak = max(peak, dim)
         acc = next_index
         next_index += 1
-    return ContractionPlan(len(ops), tuple(steps), peak)
+    return tuple(steps), peak
 
 
 def chain(rng, n_ops, dim=2):
@@ -282,11 +305,16 @@ def assert_same_plans(ops):
         (ot.plan_contraction, _reference_greedy),
         (ot.plan_left_to_right, _reference_left_to_right),
     ):
-        plan, expected = planner(ops), reference(ops)
-        assert plan.steps == expected.steps
-        assert plan.dump() == expected.dump()
-        assert plan.peak_dim == expected.peak_dim
-        assert plan == expected
+        plan, (steps, peak) = planner(ops), reference(ops)
+        assert [step[:5] for step in plan.steps] == [
+            (i, j, tuple(w.id for w in over), dim, k) for i, j, over, dim, k in steps
+        ]
+        assert plan.dump() == "\n".join(
+            f"contract {i} {j} over [{' '.join(str(w) for w in over)}] -> dim {dim}"
+            for i, j, over, dim, _ in steps
+        )
+        assert plan.peak_dim == peak
+        assert plan == planner(ops)
 
 
 class TestPlanIdentity:

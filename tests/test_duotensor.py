@@ -297,6 +297,19 @@ class TestSerialization:
         assert again.indices == dt.indices
         assert np.array_equal(again.data, dt.data)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("role", "inptu", "role must be 'input' or 'output', got 'inptu'"), ("dim", 0, "dim >= 1")],
+    )
+    def test_duotensor_json_with_a_bad_index_rejected(self, key, value, message):
+        from optensor.duotensor import duotensor_from_json_dict, duotensor_to_json_dict
+
+        dt = ot.Duotensor((ot.DuoIndex("a", 1, INPUT, 2, WHITE),), np.zeros(4))
+        data = duotensor_to_json_dict(dt)
+        data["indices"][0][key] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            duotensor_from_json_dict(data)
+
 
 def test_shape_mismatch():
     with pytest.raises(ot.ShapeMismatchError):

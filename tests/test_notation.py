@@ -14,6 +14,7 @@ from optensor import (
     SystemType,
     TypeMismatch,
     WireLabel,
+    alternate_transpose_positivity,
     canonicalize,
     causal_structure,
     foliate,
@@ -27,8 +28,9 @@ from optensor import (
     random_preparation,
     random_result,
 )
+from optensor import notation
 from optensor.notation import INPUT, OUTPUT, Foliation, PaddingIdentity
-from conftest import random_brickwork, random_circuit, random_dag
+from conftest import count_calls, random_brickwork, random_circuit, random_dag
 
 MEDIUM = "A^{a1 b2} B^{a3 d4} C_{b2 a3}^{a5} D_{a1}^{b6} E_{a5 d4}^{c7} F_{b6 c7}"
 
@@ -140,6 +142,13 @@ def test_canonicalize_same_name_shared_wire():
     assert print_circuit(parse_circuit(text)) == text
 
 
+def test_canonicalize_validates_only_the_chosen_ops(monkeypatch):
+    frag, _ = random_dag(np.random.default_rng(7), 300, 6)
+    calls = count_calls(monkeypatch, notation, "fragment_from_ops")
+    canonicalize(frag)
+    assert len(calls) == 1
+
+
 def test_causal_structure_declared_relation():
     frag = parse_circuit("A_{a1 c2 b3}^{b4 a5 a6} B_{a6 b7}^{b8 a9} C_{d10 b8}^{b11}")
     declared = {
@@ -178,6 +187,17 @@ def test_foliate_medium_circuit():
     assert names == [["A", "B"], ["C", "D"], ["E"], ["F"]]
     pads = {(str(p.wire), p.layer) for p in fol.paddings}
     assert pads == {("d4", 1), ("b6", 2)}
+
+
+def test_unknown_policy_rejected_on_an_empty_circuit():
+    empty = parse_circuit("")
+    for route in (
+        lambda: foliate(empty, "bogus"),
+        lambda: probability_foliated(empty, {}, policy="bogus"),
+        lambda: alternate_transpose_positivity(empty, {}, policy="bogus"),
+    ):
+        with pytest.raises(ValueError, match="unknown foliation policy 'bogus'"):
+            route()
 
 
 def test_foliate_two_layers_no_padding():

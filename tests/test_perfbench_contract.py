@@ -14,7 +14,12 @@ modified.
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import optensor as ot
+from optensor import Leg
+from optensor.notation import INPUT, OUTPUT
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -65,3 +70,25 @@ def test_every_traced_layer_resolves(monkeypatch):
             owner = getattr(owner, part, None)
             assert owner is not None, f"{module_name}.{attr} does not resolve"
         assert callable(owner), f"{module_name}.{attr} is not callable"
+
+
+def test_plan_cost_of_a_qubit_chain(monkeypatch):
+    """``plan_cost`` reads each step's operands, result size and index.
+
+    P^{a1} W_{a1}^{a2} R_{a2} plans as ``contract 0 1 over [a1] -> dim 2``
+    then ``contract 2 3 over [a2] -> dim 1``.  A step costs the product of
+    squared dims over the union of its operands' legs and writes
+    ``16 * result_dim**2`` bytes: 2**2 * 2**2 + 2**2 = 20 multiply-adds and
+    16 * 2**2 + 16 * 1**2 = 80 bytes.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    rng = np.random.default_rng(5)
+    ops = [
+        ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng),
+        ot.random_physical_transformation([Leg("a", 1, INPUT, 2)], [Leg("a", 2, OUTPUT, 2)], rng),
+        ot.random_result([Leg("a", 2, INPUT, 2)], rng),
+    ]
+    plan = ot.plan_contraction(ops)
+    assert plan.dump() == "contract 0 1 over [a1] -> dim 2\ncontract 2 3 over [a2] -> dim 1"
+    assert tracing.plan_cost([op.legs for op in ops], plan) == (20.0, 80.0)
