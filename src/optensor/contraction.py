@@ -66,24 +66,20 @@ class ContractionPlan:
 def _wire_ends(ops: Sequence[LabeledOperator]) -> dict[int, list[int]]:
     """Map each wire id to the indices of the operands carrying it.
 
-    This is the one place wiring is validated: a wire id joins at most two
-    legs, one output and one input, of the same type and dimension.
+    It validates a raw operand list, which no fragment has checked: a wire id
+    joins at most two legs, one output and one input, of one type and dimension.
     """
     ends: dict[int, list[int]] = {}
     first: dict[int, Leg] = {}  # wire id -> the leg that first carries it
     for i, op in enumerate(ops):
         for leg in op.legs:
             holders = ends.setdefault(leg.id, [])
-            if not holders:
-                holders.append(i)
-                first[leg.id] = leg
-                continue
-            if len(holders) >= 2:
+            other = first.setdefault(leg.id, leg)
+            if len(holders) == 2:
                 raise LabelArityError(f"wire id {leg.id} appears more than twice")
-            other = first[leg.id]
-            if other.role == leg.role:
+            if holders and other.role == leg.role:
                 raise LabelArityError(f"wire id {leg.id} appears twice as {leg.role}")
-            if other.sys != leg.sys or other.dim != leg.dim:
+            if holders and (other.sys != leg.sys or other.dim != leg.dim):
                 raise DimMismatchError(
                     f"wire id {leg.id} joins {other.sys}(dim {other.dim}) "
                     f"to {leg.sys}(dim {leg.dim})"
@@ -220,7 +216,12 @@ def plan_contraction(ops: Sequence[LabeledOperator]) -> ContractionPlan:
     is the minimum over all live sharing pairs.  Planning costs O(E log E),
     where E is the number of wire-adjacent operand pairs pushed.
     """
-    ends = _wire_ends(ops)
+    return _plan_greedy(ops, _wire_ends(ops))
+
+
+def _plan_greedy(ops: Sequence[LabeledOperator], ends: dict[int, list[int]]) -> ContractionPlan:
+    """:func:`plan_contraction` on validated wiring: ``ends`` maps each wire id
+    to the indices of the operands it joins (open wires may be left out)."""
     builder = _PlanBuilder(ops)
     wires_of, size_of, dim_of = builder.wires_of, builder.size_of, builder.dim_of
 
@@ -232,7 +233,7 @@ def plan_contraction(ops: Sequence[LabeledOperator]) -> ContractionPlan:
                 shared *= dim_of[w]
         return size_of[i] * size_of[j] // (shared * shared), i, j
 
-    pairs = {tuple(holders) for holders in ends.values() if len(holders) == 2}
+    pairs = {(min(holders), max(holders)) for holders in ends.values() if len(holders) == 2}
     heap = [candidate(i, j) for i, j in pairs]
     heapq.heapify(heap)
     while heap:
@@ -242,7 +243,7 @@ def plan_contraction(ops: Sequence[LabeledOperator]) -> ContractionPlan:
         k = builder.contract(i, j)
         neighbours = set()
         for w in wires_of[k]:
-            holders = ends[w]
+            holders = ends.get(w, ())
             if len(holders) == 2:  # the wire still joins k to another live operand
                 m = holders[1] if holders[0] in (i, j) else holders[0]
                 ends[w] = [m, k]

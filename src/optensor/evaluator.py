@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binding import Binding, resolve_binding
-from .contraction import _wire_ends, execute_plan, plan_contraction
+from .contraction import _plan_greedy, execute_plan
 from .duotensor import _fiducial_overlaps
 from .errors import (
+    DimMismatchError,
     NonCircuitTermError,
     NotApplicableError,
     PhysicalityWarning,
@@ -45,16 +46,24 @@ class _BoundFragment:
     Binding relabels each entry to its declaration, keeping leg order and
     matrix, so the first operation of each name stands for all of them: the
     physicality pass and the foliated transfer matrices each work once per
-    name.  The contraction plan is built on first use.
+    name.  The fragment validated the wiring; binding adds each wire's
+    dimension, and a wire whose second end, in operand-scan order, has
+    another raises :class:`DimMismatchError`.  The plan is built on first use.
     """
 
     def __init__(self, frag: CircuitFragment, binding: Binding):
         self.frag = frag
         self.ops = resolve_binding(frag, binding)
         self.first = {}  # name -> (declaration, bound operator) of its first operation
+        self.wire_dims: dict[int, int] = {}
         for decl, op in zip(frag.ops, self.ops):
             self.first.setdefault(decl.name, (decl, op))
-        self.wire_dims = {leg.id: leg.dim for op in self.ops for leg in op.legs}
+            for leg in op.legs:
+                dim = self.wire_dims.setdefault(leg.id, leg.dim)
+                if dim != leg.dim:
+                    raise DimMismatchError(
+                        f"wire id {leg.id} joins {leg.sys}(dim {dim}) to {leg.sys}(dim {leg.dim})"
+                    )
 
     def nonphysical(self, eps: float) -> list[str]:
         """One message per operation whose bound operator is not physical, in order."""
@@ -69,8 +78,9 @@ class _BoundFragment:
 
     @functools.cached_property
     def plan(self):
-        """The greedy contraction plan of the bound operators."""
-        return plan_contraction(self.ops)
+        """The greedy contraction plan of the bound operators, joined by the fragment's wires."""
+        ends = {w.label.id: [w.producer, w.consumer] for w in self.frag.internal_wires}
+        return _plan_greedy(self.ops, ends)
 
     def trace(self) -> LabeledOperator:
         """The contracted operators, on the open legs in operand-scan order (1x1 if none)."""
@@ -78,7 +88,6 @@ class _BoundFragment:
 
     def foliated(self, policy: str) -> float:
         """The layered state-evolution value (see :func:`probability_foliated`)."""
-        _wire_ends(self.ops)  # the transfer matrices assume each wire's ends agree
         decls = self.frag.ops
         fol = foliate(self.frag, policy)
         steps = [op_index for layer in fol.layers for op_index in layer]

@@ -98,14 +98,18 @@ class CircuitFragment:
     """A validated DAG of operations connected by typed wires.
 
     ``open_inputs``/``open_outputs`` list the unwired ports;
-    ``internal_wires`` the producer/consumer pairs.  Use
-    :func:`fragment_from_ops` or :func:`parse_circuit` to construct one.
+    ``internal_wires`` the producer/consumer pairs.  Validation keeps a
+    topological ``order`` of the operations and each one's sorted distinct
+    consumers, ``successors``; neither takes part in equality or printing.
+    Use :func:`fragment_from_ops` or :func:`parse_circuit` to construct one.
     """
 
     ops: tuple[OperationDecl, ...]
     open_inputs: tuple[WireLabel, ...]
     open_outputs: tuple[WireLabel, ...]
     internal_wires: tuple[InternalWire, ...]
+    order: tuple[int, ...] = field(repr=False, compare=False)
+    successors: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @property
     def kind(self) -> str:
@@ -232,35 +236,29 @@ def fragment_from_ops(ops: Iterable[OperationDecl]) -> CircuitFragment:
         else:
             wires.append(InternalWire(i2, s2, i1, s1, l2))
 
-    _dag_order(ops, wires)
+    order, successors = _dag_order(ops, wires)
     # open ports in declaration order
     open_inputs = tuple(lab for op in ops for lab in op.inputs if lab in open_ports)
     open_outputs = tuple(lab for op in ops for lab in op.outputs if lab in open_ports)
-    return CircuitFragment(ops, open_inputs, open_outputs, tuple(wires))
-
-
-def _successors(n: int, wires: Iterable[InternalWire]) -> list[list[int]]:
-    """Each operation's distinct consumers, in increasing index order."""
-    succ: list[set[int]] = [set() for _ in range(n)]
-    for w in wires:
-        succ[w.producer].add(w.consumer)
-    return [sorted(s) for s in succ]
+    return CircuitFragment(ops, open_inputs, open_outputs, tuple(wires), order, successors)
 
 
 def _dag_order(
     ops: Sequence[OperationDecl], wires: Sequence[InternalWire]
-) -> tuple[list[int], list[list[int]]]:
-    """A topological order of the operations, and their successor lists.
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """A topological order of the operations, and each one's sorted distinct consumers.
 
     The order is the reverse finish order of a depth-first search that starts
     from each operation in index order and visits successors in sorted order.
     Raises :class:`ClosedLoop` naming the first self-loop in wire order, else
     the first cycle the search meets.
     """
+    consumers: list[set[int]] = [set() for _ in ops]
     for w in wires:
         if w.producer == w.consumer:
             raise ClosedLoop(f"{ops[w.producer].name} -> {ops[w.producer].name}")
-    succ = _successors(len(ops), wires)
+        consumers[w.producer].add(w.consumer)
+    succ = tuple(tuple(sorted(s)) for s in consumers)
     state = [0] * len(ops)  # 0 unseen, 1 on stack, 2 done
     finished: list[int] = []
     # An explicit stack, so that long chains do not hit the recursion limit.
@@ -286,7 +284,7 @@ def _dag_order(
                 finished.append(done)
                 pending.pop()
     finished.reverse()
-    return finished, succ
+    return tuple(finished), succ
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +439,10 @@ class _CausalPairs(Set):
 
 
 def causal_structure(frag: CircuitFragment) -> CausalStructure:
-    """Compute which outputs can feed (directly or indirectly) into which inputs."""
-    order, succ = _dag_order(frag.ops, frag.internal_wires)
+    """Which outputs feed, directly or not, into which inputs: one sweep of ``frag.order``."""
     reach = [0] * len(frag.ops)
-    for i in reversed(order):
-        for s in succ[i]:
+    for i in reversed(frag.order):
+        for s in frag.successors[i]:
             reach[i] |= (1 << s) | reach[s]
     return CausalStructure(frag.ops, tuple(reach), frag.open_outputs, frag.open_inputs)
 
@@ -473,12 +470,6 @@ class Foliation:
     layers: tuple[tuple[int, ...], ...]
     paddings: tuple[PaddingIdentity, ...]
 
-    def layer_of(self, op_index: int) -> int:
-        for k, layer in enumerate(self.layers):
-            if op_index in layer:
-                return k
-        raise KeyError(op_index)
-
 
 def foliate(frag: CircuitFragment, policy: str = "earliest") -> Foliation:
     """Layer the fragment's operations into time steps.
@@ -486,19 +477,18 @@ def foliate(frag: CircuitFragment, policy: str = "earliest") -> Foliation:
     ``policy="earliest"`` places each operation at its longest-path depth
     from the sources; ``"latest"`` pushes each as late as its successors
     allow within the same layer count.  Wires spanning more than one layer
-    boundary are padded with recorded identity transformations.
+    boundary are padded with recorded identity transformations.  Both
+    policies sweep the fragment's topological ``order``.
     """
     if policy not in ("earliest", "latest"):
         raise ValueError(f"unknown foliation policy {policy!r}")
     n = len(frag.ops)
-    if n == 0:
-        return Foliation((), ())
-    order, succ = _dag_order(frag.ops, frag.internal_wires)
+    order, succ = frag.order, frag.successors
     depth = [0] * n
     for i in order:
         for s in succ[i]:
             depth[s] = max(depth[s], depth[i] + 1)
-    n_layers = 1 + max(depth)
+    n_layers = 1 + max(depth, default=-1)
 
     if policy == "latest":
         late = [n_layers - 1] * n

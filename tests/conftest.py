@@ -313,7 +313,7 @@ def count_bind_plan_check(monkeypatch) -> dict[str, list]:
         name: count_calls(monkeypatch, module, name)
         for module, name in (
             (binding_module, "resolve_binding"),
-            (contraction, "plan_contraction"),
+            (contraction, "_plan_greedy"),
             (physicality, "is_physical"),
         )
     }

@@ -222,7 +222,7 @@ class TestEval:
         assert err.count("warning: operator bound to 'W' is not physical") == 1
         assert {name: len(made) for name, made in calls.items()} == {
             "resolve_binding": 1,
-            "plan_contraction": 1,
+            "_plan_greedy": 1,
             "is_physical": 3,  # P, W and R
         }
 
@@ -237,7 +237,7 @@ class TestEval:
         assert code == 0
         assert {name: len(made) for name, made in calls.items()} == {
             "resolve_binding": 1,
-            "plan_contraction": 0 if method == "foliation" and not explain else 1,
+            "_plan_greedy": 0 if method == "foliation" and not explain else 1,
             "is_physical": 2,  # P and R
         }
 

@@ -12,6 +12,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 from conftest import (
+    count_calls,
     mixed_circuits,
     pair_contract,
     random_brickwork,
@@ -21,7 +22,7 @@ from conftest import (
 )
 
 import optensor as ot
-from optensor import LabeledOperator, Leg, WireLabel
+from optensor import LabeledOperator, Leg, WireLabel, contraction, notation
 from optensor.binding import resolve_binding
 from optensor.contraction import ContractionPlan, _run_step
 from optensor.errors import DimMismatchError, LabelArityError
@@ -669,3 +670,23 @@ class TestCounts:
             ot.execute_plan(ops, plan)
             assert len(gemms) == len(plan.steps)
         assert tensordots == []
+
+    def test_one_graph_pass_per_fragment_and_no_wiring_check_after_binding(self, monkeypatch):
+        """Parsing keeps the fragment's DAG order for foliation and causal
+        structure; a bound fragment checks only wire dimensions, so only a
+        raw operand list has its wiring checked by ``_wire_ends``."""
+        orders = count_calls(monkeypatch, notation, "_dag_order")
+        ends = count_calls(monkeypatch, contraction, "_wire_ends")
+        for n_ops in (500, 1000, 2000, 4000):
+            frag, binding = random_dag(np.random.default_rng(7), n_ops, 6)
+            orders.clear()
+            ends.clear()
+            parsed = ot.parse_circuit(str(frag))
+            ot.foliate(parsed, "latest")
+            ot.causal_structure(parsed)
+            ot.probability(parsed, binding, check_physical=False)
+            ot.probability_foliated(parsed, binding, check_physical=False)  # foliates earliest
+            ot.fragment_operator(parsed, binding)
+            assert (len(orders), len(ends)) == (1, 0)
+            ot.circuit_trace(resolve_binding(parsed, binding))
+            assert (len(orders), len(ends)) == (1, 1)

@@ -6,6 +6,7 @@ import pytest
 
 import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
+from optensor.cli import main
 from optensor.notation import INPUT, OUTPUT
 
 
@@ -64,7 +65,10 @@ def test_fragment_expression_with_matching_signatures(rng):
         ot.p_function(expr, {})
 
 
-def test_mixed_dimension_wire_rejected(rng):
+def test_mixed_dimension_wire_rejected(rng, tmp_path, capsys):
+    """Every route that binds a fragment names the first wire, in operand-scan
+    order, whose second end has another dimension; so does ``optensor eval``."""
+    two_qubits = [Leg("a", 1, OUTPUT, 2), Leg("a", 2, OUTPUT, 2)]
     cases = [
         (
             "P^{a1} R_{a1}",
@@ -77,19 +81,44 @@ def test_mixed_dimension_wire_rejected(rng):
         (  # 2 + 2 -> 4 + 1: the total dimensions agree, the wires do not
             "P^{a1 a2} E_{a1} F_{a2}",
             {
-                "P": ot.random_preparation([Leg("a", 1, OUTPUT, 2), Leg("a", 2, OUTPUT, 2)], rng),
+                "P": ot.random_preparation(two_qubits, rng),
                 "E": ot.random_result([Leg("a", 1, INPUT, 4)], rng),
                 "F": ot.random_result([Leg("a", 1, INPUT, 1)], rng),
             },
             "wire id 1 joins a(dim 2) to a(dim 4)",
         ),
+        (  # both wires mismatched: wire 2's second end is scanned first
+            "E_{a1} F_{a2} P^{a2 a1}",
+            {
+                "P": ot.random_preparation(two_qubits, rng),
+                "E": ot.random_result([Leg("a", 1, INPUT, 4)], rng),
+                "F": ot.random_result([Leg("a", 1, INPUT, 1)], rng),
+            },
+            "wire id 2 joins a(dim 1) to a(dim 2)",
+        ),
     ]
-    for text, binding, message in cases:
+    routes = (
+        lambda frag, binding: ot.probability(frag, binding, check_physical=False),
+        lambda frag, binding: ot.probability_foliated(frag, binding, check_physical=False),
+        ot.fragment_operator,
+        lambda frag, binding: ot.p_function(ot.CircuitExpression(((1.0, frag),)), binding),
+        ot.alternate_transpose_positivity,
+    )
+    for k, (text, binding, message) in enumerate(cases):
         frag = ot.parse_circuit(text)
-        for route in (ot.probability, ot.probability_foliated):
+        for route in routes:
             with pytest.raises(ot.DimMismatchError) as caught:
-                route(frag, binding, check_physical=False)
+                route(frag, binding)
             assert str(caught.value) == message
+        circuit, manifest = tmp_path / f"case{k}.circ", tmp_path / f"case{k}.txt"
+        circuit.write_text(text + "\n")
+        for name, op in binding.items():
+            ot.save(op, tmp_path / f"case{k}_{name}.json")
+        manifest.write_text("".join(f"{name} = case{k}_{name}.json\n" for name in binding))
+        for method in ("tensor", "foliation"):
+            code = main(["eval", str(circuit), str(manifest), "--method", method])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (65, "", f"error: {message}\n")
 
 
 def test_canonicalize_is_idempotent_on_adversarial_names():

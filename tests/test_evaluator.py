@@ -290,7 +290,7 @@ class TestPFunction:
         ot.p_function(expr, {**bind_a, **bind_b})
         assert {name: len(made) for name, made in calls.items()} == {
             "resolve_binding": 2,
-            "plan_contraction": 2,
+            "_plan_greedy": 2,
             "is_physical": len({decl.name for decl in frag_a.ops}) + 2,
         }
 
@@ -358,7 +358,7 @@ class TestFragmentOperator:
             out = ot.fragment_operator(frag, binding)
         assert {name: len(made) for name, made in calls.items()} == {
             "resolve_binding": 1,
-            "plan_contraction": 1,
+            "_plan_greedy": 1,
             "is_physical": 0,
         }
         assert np.array_equal(out.matrix, 1.5 * np.eye(2))
@@ -420,7 +420,7 @@ class TestClosedOnlyEntryPoints:
         assert str(caught.value) == "fragment has open ports (kind=preparation)"
         assert {name: len(made) for name, made in calls.items()} == {
             "resolve_binding": 0,
-            "plan_contraction": 0,
+            "_plan_greedy": 0,
             "is_physical": 0,
         }
 
@@ -478,7 +478,7 @@ class TestFormalismLocality:
         assert ot.formalism_locality_ratio(frag_a, frag_b, binding) is not None
         assert {name: len(made) for name, made in calls.items()} == {
             "resolve_binding": 2,
-            "plan_contraction": 2,
+            "_plan_greedy": 2,
             "is_physical": 0,
         }
 

@@ -1,6 +1,7 @@
 """Parser, canonical printing, causal structure, and foliation."""
 
 from collections.abc import Set
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from optensor import (
 )
 from optensor import notation
 from optensor.notation import INPUT, OUTPUT, Foliation, PaddingIdentity
-from conftest import count_calls, random_brickwork, random_circuit, random_dag
+from conftest import count_calls, mixed_circuits, random_brickwork, random_circuit, random_dag
 
 MEDIUM = "A^{a1 b2} B^{a3 d4} C_{b2 a3}^{a5} D_{a1}^{b6} E_{a5 d4}^{c7} F_{b6 c7}"
 
@@ -149,6 +150,26 @@ def test_canonicalize_validates_only_the_chosen_ops(monkeypatch):
     assert len(calls) == 1
 
 
+def test_fragment_keeps_its_dag_order_and_successors(rng):
+    """``order`` is a topological order of the wiring and ``successors[i]`` the
+    sorted distinct consumers of operation ``i``, on a fragment and on its
+    canonical form; neither takes part in equality, hashing or printing."""
+    cases = [random_dag(np.random.default_rng(7), n_ops, 6) for n_ops in (10, 200, 1000)]
+    cases += [random_brickwork(rng, width, depth) for width, depth in ((2, 3), (5, 6))]
+    cases += mixed_circuits(rng)
+    for frag, _ in cases:
+        for f in (frag, canonicalize(frag)):
+            assert sorted(f.order) == list(range(len(f.ops)))
+            position = {op: k for k, op in enumerate(f.order)}
+            assert all(position[w.producer] < position[w.consumer] for w in f.internal_wires)
+            consumers = [set() for _ in f.ops]
+            for w in f.internal_wires:
+                consumers[w.producer].add(w.consumer)
+            assert f.successors == tuple(tuple(sorted(c)) for c in consumers)
+        bare = replace(frag, order=(), successors=())
+        assert bare == frag and hash(bare) == hash(frag) and repr(bare) == repr(frag)
+
+
 def test_causal_structure_declared_relation():
     frag = parse_circuit("A_{a1 c2 b3}^{b4 a5 a6} B_{a6 b7}^{b8 a9} C_{d10 b8}^{b11}")
     declared = {
@@ -200,6 +221,11 @@ def test_unknown_policy_rejected_on_an_empty_circuit():
             route()
 
 
+def layer_map(fol) -> dict[int, int]:
+    """Each operation index of a foliation mapped to its layer."""
+    return {i: k for k, layer in enumerate(fol.layers) for i in layer}
+
+
 def test_foliate_two_layers_no_padding():
     fol = foliate(parse_circuit("A^{a1} B_{a1}"))
     assert len(fol.layers) == 2
@@ -213,11 +239,12 @@ def test_foliate_disjoint_circuits_interleave(rng):
     fol_l, fol_r, fol = foliate(left), foliate(right), foliate(both)
     assert len(fol.layers) == max(len(fol_l.layers), len(fol_r.layers))
     assert len(fol.paddings) == len(fol_l.paddings) + len(fol_r.paddings) == 0
+    layer_l, layer_r, layer = layer_map(fol_l), layer_map(fol_r), layer_map(fol)
     # each op sits at the layer its own sub-circuit assigns
     for i, op in enumerate(both.ops):
-        sub, sub_frag = (fol_l, left) if op.name in "ABC" else (fol_r, right)
+        sub, sub_frag = (layer_l, left) if op.name in "ABC" else (layer_r, right)
         sub_index = [d.name for d in sub_frag.ops].index(op.name)
-        assert fol.layer_of(i) == sub.layer_of(sub_index)
+        assert layer[i] == sub[sub_index]
 
 
 def test_foliation_layer_count_is_longest_path(rng):
@@ -237,16 +264,18 @@ def test_foliation_layer_count_is_longest_path(rng):
         expected = 1 + max(longest(i) for i in range(len(frag.ops)))
         assert len(fol.layers) == expected
         # antichains: no edge within a layer, wires cross to later layers
+        layer = layer_map(fol)
         for w in frag.internal_wires:
-            assert fol.layer_of(w.producer) < fol.layer_of(w.consumer)
+            assert layer[w.producer] < layer[w.consumer]
 
 
 def test_foliate_latest_policy():
     frag = parse_circuit(MEDIUM)
     fol = foliate(frag, policy="latest")
     assert len(fol.layers) == 4
+    layer = layer_map(fol)
     for w in frag.internal_wires:
-        assert fol.layer_of(w.producer) < fol.layer_of(w.consumer)
+        assert layer[w.producer] < layer[w.consumer]
     # D can wait until the layer before F
     names = [sorted(frag.ops[i].name for i in layer) for layer in fol.layers]
     assert names == [["A", "B"], ["C"], ["D", "E"], ["F"]]

@@ -350,7 +350,7 @@ class TestAlternateTranspose:
         ot.alternate_transpose_positivity(frag, binding)
         assert {name: len(made) for name, made in calls.items()} == {
             "resolve_binding": 1,
-            "plan_contraction": 1,
+            "_plan_greedy": 1,
             "is_physical": 3,  # P, W and R
         }
 
