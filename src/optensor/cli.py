@@ -120,7 +120,7 @@ def cmd_validate(args) -> int:
     frag = _load_circuit(args.circuit)
     if args.types:
         registry = notation.parse_registry(_read_text(args.types, "registry"))
-        unknown = {lab.sys for lab in notation.iter_labels(frag)} - set(registry)
+        unknown = {lab.sys for op in frag.ops for lab in op.labels} - set(registry)
         if unknown:
             raise WiringError(f"unknown system types: {sorted(unknown)}")
     _emit(

@@ -14,8 +14,10 @@ order of operations in the text is irrelevant.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -291,58 +293,61 @@ def _dag_order(
 # Canonical form and printing
 
 
-def _renumber(ops: tuple[OperationDecl, ...]) -> tuple[OperationDecl, ...]:
-    mapping: dict[int, int] = {}
-    out: list[OperationDecl] = []
-    for op in ops:
-        def renum(labels: tuple[WireLabel, ...]) -> tuple[WireLabel, ...]:
-            fresh = []
-            for lab in labels:
-                if lab.id not in mapping:
-                    mapping[lab.id] = len(mapping) + 1
-                fresh.append(WireLabel(lab.sys, mapping[lab.id]))
-            return tuple(fresh)
-
-        out.append(OperationDecl(op.name, renum(op.inputs), renum(op.outputs)))
-    return tuple(out)
-
-
-def _sort_key(op: OperationDecl):
-    ids = sorted(lab.id for lab in op.labels)
-    return (
-        op.name,
-        ids[0] if ids else 0,
-        tuple(ids),
-        tuple(lab.id for lab in op.inputs),
-        tuple(lab.id for lab in op.outputs),
-        tuple(lab.sys for lab in op.labels),
-    )
+def _walk(root: int, ports: Sequence[Sequence[tuple[int, ...]]]) -> dict[int, int]:
+    """Rank ``root``'s component breadth-first, visiting ports in slot order."""
+    walk, rank = [root], {root: 0}
+    for i in walk:  # the loop reaches what it appends
+        for end in ports[i]:
+            if end and end[0] not in rank:
+                rank[end[0]] = len(walk)
+                walk.append(end[0])
+    return rank
 
 
 def canonicalize(frag: CircuitFragment) -> CircuitFragment:
-    """Sort operations by name/labels and renumber wire ids 1..n.
+    """The fragment rewritten so that neither operation order nor wire ids matter.
 
-    The sort-then-renumber pass is iterated to a fixed point (renumbering can
-    perturb the tie-break between same-named operations); if the iteration
-    cycles, the lexicographically smallest printed form in the cycle is
-    chosen, which makes the whole map idempotent.
+    A component's code lists, per operation in the rank order of a walk, name,
+    port types and each port's neighbour ``(rank, port)``; it is the smallest over
+    walks from the component's rarest class of name, port types and neighbours'
+    ``(name, port)``.  Operations are ordered by (name, component in code order,
+    rank) and wire ids renumbered 1..n in that order: distinct names sort by name.
     """
-    seen: dict[str, int] = {}
-    trail: list[tuple[str, tuple[OperationDecl, ...]]] = []
     ops = frag.ops
-    while True:
-        ops = _renumber(tuple(sorted(ops, key=_sort_key)))
-        text = " ".join(str(op) for op in ops)
-        if text in seen:
-            # renumbering a valid fragment keeps it valid: validate only the choice
-            _, chosen = min(trail[seen[text]:], key=lambda entry: entry[0])
-            return fragment_from_ops(chosen)
-        seen[text] = len(trail)
-        trail.append((text, ops))
+    # each port, inputs then outputs, as its neighbour's (operation, port); () when open
+    ports: list[list[tuple[int, ...]]] = [[()] * len(op.labels) for op in ops]
+    for w in frag.internal_wires:
+        out_port = len(ops[w.producer].inputs) + w.out_slot
+        ports[w.producer][out_port] = (w.consumer, w.in_slot)
+        ports[w.consumer][w.in_slot] = (w.producer, out_port)
+    heads = [(op.name, len(op.inputs), tuple(lab.sys for lab in op.labels)) for op in ops]
+    local = [h + tuple(e and (ops[e[0]].name, e[1]) for e in row) for h, row in zip(heads, ports)]
+    def code(root: int) -> tuple[list[tuple], dict[int, int]]:
+        rank = _walk(root, ports)
+        return [heads[i] + tuple(e and (rank[e[0]], e[1]) for e in ports[i]) for i in rank], rank
+
+    comps, placed = [], set()
+    for start in range(len(ops)):
+        if start in placed:
+            continue
+        ranked = _walk(start, ports)
+        placed.update(ranked)
+        counts = Counter(local[i] for i in ranked)
+        rarest = min(counts, key=lambda key: (counts[key], key))
+        comps.append(min((code(i) for i in ranked if local[i] == rarest), key=itemgetter(0)))
+    comps.sort(key=itemgetter(0))
+    # a stable sort by name keeps each name's operations in (component, rank) order
+    printed = sorted((ops[i] for _, rank in comps for i in rank), key=lambda op: op.name)
+    fresh: dict[int, int] = {}
+    def renumber(labels: tuple[WireLabel, ...]) -> tuple[WireLabel, ...]:
+        return tuple(WireLabel(w.sys, fresh.setdefault(w.id, len(fresh) + 1)) for w in labels)
+    return fragment_from_ops(
+        OperationDecl(op.name, renumber(op.inputs), renumber(op.outputs)) for op in printed
+    )
 
 
 def print_circuit(frag: CircuitFragment) -> str:
-    """Render the canonical form of a fragment as DSL text."""
+    """The DSL text of :func:`canonicalize`'s form: one text for every writing of a circuit."""
     return str(canonicalize(frag))
 
 
@@ -520,15 +525,10 @@ def parse_registry(text: str) -> dict[str, SystemType]:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or not parts[1].isdigit():
-            raise ValueError(f"registry line {lineno}: expected 'name dim', got {raw!r}")
+        if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
+            raise ValueError(f"registry line {lineno}: expected 'name dim' with dim >= 1: {raw!r}")
         name, dim = parts[0], int(parts[1])
         if name in registry:
             raise ValueError(f"registry line {lineno}: duplicate type {name!r}")
         registry[name] = SystemType(name, dim)
     return registry
-
-
-def iter_labels(frag: CircuitFragment) -> Iterator[WireLabel]:
-    for op in frag.ops:
-        yield from op.labels

@@ -292,6 +292,20 @@ def mixed_circuits(rng: np.random.Generator):
     return cases
 
 
+def scrambled(frag, rng: np.random.Generator):
+    """The same circuit with its operations shuffled and its wire ids renamed
+    bijectively to fresh ids drawn from a wider range."""
+    ids = sorted({lab.id for op in frag.ops for lab in op.labels})
+    drawn = rng.choice(np.arange(1, 3 * len(ids) + 2), size=len(ids), replace=False)
+    fresh = dict(zip(ids, (int(k) for k in drawn)))
+
+    def rename(labels):
+        return tuple(WireLabel(lab.sys, fresh[lab.id]) for lab in labels)
+
+    ops = [OperationDecl(op.name, rename(op.inputs), rename(op.outputs)) for op in frag.ops]
+    return fragment_from_ops(ops[i] for i in rng.permutation(len(ops)))
+
+
 def count_calls(monkeypatch, module, name) -> list:
     """Count calls of ``module.name`` made through any optensor namespace."""
     original = getattr(module, name)

@@ -44,6 +44,23 @@ class TestValidate:
         assert code == 0
         assert "circuit" in out
 
+    def test_canonical_ignores_operation_order_and_ids(self, tmp_path, capsys):
+        texts = (
+            "G2_{a1 a2}^{a3 a4} G2_{a3 a4}^{a5 a6} P1^{a1} P2^{a2} R5_{a5} R6_{a6}",
+            "R6_{a14} P2^{a16} G2_{a11 a12}^{a13 a14} R5_{a13} G2_{a15 a16}^{a11 a12} P1^{a15}",
+        )
+        reports = []
+        for k, text in enumerate(texts):
+            path = tmp_path / f"brick{k}.circ"
+            path.write_text(text + "\n")
+            code, out, err = run(capsys, "validate", str(path), "--format", "json")
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out))
+        assert reports[0] == reports[1]
+        assert reports[0]["canonical"] == (
+            "G2_{a1 a2}^{a3 a4} G2_{a5 a6}^{a1 a2} P1^{a5} P2^{a6} R5_{a3} R6_{a4}"
+        )
+
     def test_closed_loop_exit_2(self, tmp_path, capsys):
         path = tmp_path / "loop.circ"
         path.write_text("A_{a1}^{a2} B_{a2}^{a1}")

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optensor import (
     CircuitFragment,
@@ -31,7 +33,14 @@ from optensor import (
 )
 from optensor import notation
 from optensor.notation import INPUT, OUTPUT, Foliation, PaddingIdentity
-from conftest import count_calls, mixed_circuits, random_brickwork, random_circuit, random_dag
+from conftest import (
+    count_calls,
+    mixed_circuits,
+    random_brickwork,
+    random_circuit,
+    random_dag,
+    scrambled,
+)
 
 MEDIUM = "A^{a1 b2} B^{a3 d4} C_{b2 a3}^{a5} D_{a1}^{b6} E_{a5 d4}^{c7} F_{b6 c7}"
 
@@ -137,7 +146,7 @@ def test_print_parse_round_trip_random(rng):
 
 
 def test_canonicalize_same_name_shared_wire():
-    # renumbering reorders the tie between the two Z ops; must still be a fixed point
+    # the two Z ops differ only in their wiring, which alone must order them
     frag = parse_circuit("B^{a5} Z^{c4} Z_{a5}")
     text = print_circuit(frag)
     assert print_circuit(parse_circuit(text)) == text
@@ -148,6 +157,100 @@ def test_canonicalize_validates_only_the_chosen_ops(monkeypatch):
     calls = count_calls(monkeypatch, notation, "fragment_from_ops")
     canonicalize(frag)
     assert len(calls) == 1
+
+
+def _assert_canonical(frag, rng, scrambles: int = 3) -> None:
+    """One text for every operation order and wire numbering, and idempotent."""
+    text = print_circuit(frag)
+    once = canonicalize(frag)
+    assert canonicalize(once) == once and str(once) == text
+    for _ in range(scrambles):
+        assert print_circuit(scrambled(frag, rng)) == text
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), max_ops=st.integers(2, 14))
+def test_canonical_form_ignores_order_and_ids_random_circuits(seed, max_ops):
+    rng = np.random.default_rng(seed)
+    _assert_canonical(random_circuit(rng, max_ops=max_ops)[0], rng)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 6), depth=st.integers(0, 6))
+def test_canonical_form_ignores_order_and_ids_brickworks(seed, width, depth):
+    rng = np.random.default_rng(seed)
+    _assert_canonical(random_brickwork(rng, width, depth)[0], rng)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(2, 200), width=st.integers(1, 6))
+def test_canonical_form_ignores_order_and_ids_random_dags(seed, n_ops, width):
+    rng = np.random.default_rng(seed)
+    _assert_canonical(random_dag(rng, n_ops, width)[0], rng)
+
+
+def test_canonical_form_ignores_order_and_ids_mixed_circuits(rng):
+    for frag, _ in mixed_circuits(rng):
+        _assert_canonical(frag, rng)
+
+
+@pytest.mark.parametrize(
+    "texts, canonical",
+    [
+        (  # one width-2, depth-3 brickwork numbered two ways
+            (
+                "G2_{a1 a2}^{a3 a4} G2_{a3 a4}^{a5 a6} P1^{a1} P2^{a2} R5_{a5} R6_{a6}",
+                "G2_{a1 a2}^{a3 a4} G2_{a5 a6}^{a1 a2} P1^{a5} P2^{a6} R5_{a3} R6_{a4}",
+            ),
+            "G2_{a1 a2}^{a3 a4} G2_{a5 a6}^{a1 a2} P1^{a5} P2^{a6} R5_{a3} R6_{a4}",
+        ),
+        (  # a straight and a crossed copy: the code must hold the neighbour's port
+            (
+                "A^{a1 a2} B_{a1 a2}^{a3} C_{a3} A^{a4 a5} B_{a5 a4}^{a6} C_{a6}",
+                "A^{a9 a7} B_{a7 a9}^{a3} C_{a3} C_{a6} B_{a4 a5}^{a6} A^{a4 a5}",
+            ),
+            "A^{a1 a2} A^{a3 a4} B_{a1 a2}^{a5} B_{a4 a3}^{a6} C_{a5} C_{a6}",
+        ),
+        (
+            ("A^{a1} B_{a1} A^{a2} B_{a2}", "B_{a7} A^{a9} B_{a9} A^{a7}"),
+            "A^{a1} A^{a2} B_{a1} B_{a2}",
+        ),
+        (("M M M",), "M M M"),
+        (("",), ""),
+    ],
+)
+def test_canonical_form_of_repeated_names(rng, texts, canonical):
+    for text in texts:
+        frag = parse_circuit(text)
+        assert print_circuit(frag) == canonical
+        _assert_canonical(frag, rng)
+
+
+def _component_count(frag: CircuitFragment) -> int:
+    root = list(range(len(frag.ops)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for w in frag.internal_wires:
+        root[find(w.producer)] = find(w.consumer)
+    return sum(find(i) == i for i in range(len(frag.ops)))
+
+
+def test_canonical_form_walks_each_component_twice(monkeypatch, rng):
+    """One walk finds a component and one walk from its single rarest root
+    numbers it, also on a chain of 2000 operations that share one name."""
+    chain = " ".join(f"T_{{a{k}}}^{{a{k + 1}}}" for k in range(1, 2001))
+    cases = [random_dag(np.random.default_rng(7), n_ops, 6)[0] for n_ops in (1000, 4000)]
+    cases += [random_brickwork(rng, 8, 8)[0], scrambled(parse_circuit(chain), rng)]
+    walks = count_calls(monkeypatch, notation, "_walk")
+    for frag in cases:
+        walks.clear()
+        canonicalize(frag)
+        assert len(walks) == 2 * _component_count(frag)
 
 
 def test_fragment_keeps_its_dag_order_and_successors(rng):
@@ -512,3 +615,10 @@ def test_parse_registry():
         parse_registry("a two")
     with pytest.raises(ValueError):
         parse_registry("a 2\na 3")
+    for text, message in (
+        ("a 2\nb 0", "registry line 2: expected 'name dim' with dim >= 1: 'b 0'"),
+        ("a \u00b2", "registry line 1: expected 'name dim' with dim >= 1: 'a \u00b2'"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            parse_registry(text)
+        assert str(caught.value) == message
