@@ -36,31 +36,61 @@ class PlanStep(NamedTuple):
     recipe: tuple
 
 
+class WireTypes(NamedTuple):
+    """An operand's legs without their wire ids: system types, roles and dims, in leg order."""
+
+    sys: tuple[str, ...]
+    roles: tuple[str, ...]
+    dims: tuple[int, ...]
+
+    @classmethod
+    def of(cls, legs: Sequence[Leg]) -> WireTypes:
+        return cls(
+            tuple(leg.sys for leg in legs),
+            tuple(leg.role for leg in legs),
+            tuple(leg.dim for leg in legs),
+        )
+
+
 @dataclass(frozen=True)
 class ContractionPlan:
     """An ordered pairwise plan over an operand list.
 
     ``peak_dim`` is the largest total dimension any produced intermediate
-    reaches while executing the steps.  ``operand_legs`` are the legs of the
-    operands the plan was built for, ``result_legs`` the legs of the result,
-    ordered as they first appear in the operand scan, and ``operand_shapes``
-    each operand's tensor shape, one ket then one bra axis per leg.
+    reaches while executing the steps.  The operands the plan was built for
+    are recorded as tables: ``operand_wires`` holds each operand's wire ids
+    and ``operand_types`` its :class:`WireTypes`, both in leg order, and
+    ``operand_shapes`` each operand's tensor shape, one ket then one bra axis
+    per leg.  ``result_legs`` are the legs of the result, the open wires
+    ordered as they first appear in the operand scan; no other leg is built.
     """
 
     steps: tuple[PlanStep, ...]
     peak_dim: int
-    operand_legs: tuple[tuple[Leg, ...], ...]
+    operand_wires: tuple[tuple[int, ...], ...]
+    operand_types: tuple[WireTypes, ...]
     result_legs: tuple[Leg, ...]
     operand_shapes: tuple[tuple[int, ...], ...]
 
     def dump(self) -> str:
         """One line per step, each contracted wire written as ``sys`` then id."""
-        sys_of = {leg.id: leg.sys for legs in self.operand_legs for leg in legs}
+        sys_of = {
+            w: sys
+            for wires, types in zip(self.operand_wires, self.operand_types)
+            for w, sys in zip(wires, types.sys)
+        }
         lines = []
         for left, right, over, dim, _, _ in self.steps:
             wires = " ".join(f"{sys_of[w]}{w}" for w in over)
             lines.append(f"contract {left} {right} over [{wires}] -> dim {dim}")
         return "\n".join(lines)
+
+
+def _operand_tables(
+    ops: Sequence[LabeledOperator],
+) -> tuple[tuple[tuple[int, ...], ...], tuple[WireTypes, ...]]:
+    """Each operand's wire ids and wire types, in leg order."""
+    return tuple(op.ids for op in ops), tuple(WireTypes.of(op.legs) for op in ops)
 
 
 def _wire_ends(ops: Sequence[LabeledOperator]) -> dict[int, list[int]]:
@@ -101,29 +131,19 @@ def contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
 class _PlanBuilder:
     """Records a plan's steps, with their recipes, as operand pairs are chosen.
 
-    It works on integer tables: ``dim_of`` maps each wire id to its
-    dimension, ``wires_of`` each live operand to its wire ids in leg order,
-    and ``size_of`` each live operand to its total dimension.
+    It works on integer tables: ``wires_of`` maps each live operand to its
+    wire ids in leg order, ``dims_of`` to their dimensions, and ``size_of``
+    to its total dimension.
     """
 
-    def __init__(self, ops: Sequence[LabeledOperator]):
-        self.n_operands = len(ops)
-        self.operand_legs = tuple(op.legs for op in ops)
-        self.dim_of: dict[int, int] = {}
-        self.wires_of: dict[int, tuple[int, ...]] = {}
-        self.size_of: dict[int, int] = {}
-        shapes = []
-        for i, legs in enumerate(self.operand_legs):
-            wires, dims, size = [], [], 1
-            for leg in legs:
-                wires.append(leg.id)
-                dims.append(leg.dim)
-                size *= leg.dim
-                self.dim_of[leg.id] = leg.dim
-            self.wires_of[i] = tuple(wires)
-            self.size_of[i] = size
-            shapes.append((*dims, *dims))
-        self.operand_shapes = tuple(shapes)
+    def __init__(self, wires: Sequence[tuple[int, ...]], types: Sequence[WireTypes]):
+        self.operand_wires = tuple(wires)
+        self.operand_types = tuple(types)
+        self.n_operands = len(self.operand_wires)
+        self.wires_of = dict(enumerate(self.operand_wires))
+        self.dims_of = {i: t.dims for i, t in enumerate(self.operand_types)}
+        self.size_of = {i: math.prod(dims) for i, dims in self.dims_of.items()}
+        self.operand_shapes = tuple(dims + dims for dims in self.dims_of.values())
         self.rows: list[tuple] = []
         self.peak = max(self.size_of.values(), default=1)
 
@@ -141,7 +161,7 @@ class _PlanBuilder:
         bras, then the right's) to kets then bras.
         """
         left, right = self.wires_of.pop(i), self.wires_of.pop(j)
-        dim_of = self.dim_of
+        left_dims, right_dims = self.dims_of.pop(i), self.dims_of.pop(j)
         nl, nr = len(left), len(right)
         # one pass over each operand: ket and bra axes kept and contracted,
         # the kept wires and their dims, the kept and contracted sizes
@@ -149,7 +169,7 @@ class _PlanBuilder:
         kets_b, bras_b, sum_kets_b, sum_bras_b = [], [], [], []
         over, wires, dims_a, dims_b = [], [], [], []
         inner = size_a = size_b = 1
-        for a, w in enumerate(left):
+        for a, (w, d) in enumerate(zip(left, left_dims)):
             if w in right:
                 b = right.index(w)
                 sum_kets_a.append(a)
@@ -157,20 +177,20 @@ class _PlanBuilder:
                 sum_kets_b.append(b)
                 sum_bras_b.append(nr + b)
                 over.append(w)
-                inner *= dim_of[w]
+                inner *= d
             else:
                 kets_a.append(a)
                 bras_a.append(nl + a)
                 wires.append(w)
-                dims_a.append(dim_of[w])
-                size_a *= dim_of[w]
-        for b, w in enumerate(right):
+                dims_a.append(d)
+                size_a *= d
+        for b, (w, d) in enumerate(zip(right, right_dims)):
             if w not in left:
                 kets_b.append(b)
                 bras_b.append(nr + b)
                 wires.append(w)
-                dims_b.append(dim_of[w])
-                size_b *= dim_of[w]
+                dims_b.append(d)
+                size_b *= d
         pa = (*kets_a, *bras_a, *sum_kets_a, *sum_bras_a)
         pb = (*sum_bras_b, *sum_kets_b, *kets_b, *bras_b)
         p, n = len(kets_a), len(wires)
@@ -181,24 +201,33 @@ class _PlanBuilder:
         k = self.n_operands + len(self.rows)
         self.rows.append((i, j, tuple(over), dim, k, recipe))
         self.wires_of[k] = tuple(wires)
+        self.dims_of[k] = (*dims_a, *dims_b)
         self.size_of[k] = dim
         self.peak = max(self.peak, dim)
         return k
 
     def plan(self) -> ContractionPlan:
-        """The plan, its last step reordering the result's legs to operand-scan order."""
+        """The plan, its last step reordering the result's legs to operand-scan order.
+
+        Legs are built for the open wires only, from their operands' wire types.
+        """
         (final,) = self.wires_of.values() or [()]
-        result_legs = tuple(
-            leg for legs in self.operand_legs for leg in legs if leg.id in final
-        )
-        if self.rows:
-            order = [final.index(leg.id) for leg in result_legs]
-            *row, (pa, sa, pb, sb, shape, perm) = self.rows[-1]
-            perm = tuple(perm[n] for n in order + [len(final) + n for n in order])
-            self.rows[-1] = (*row, (pa, sa, pb, sb, shape, perm))
+        result_legs = ()
+        if final:
+            result_legs = tuple(
+                Leg(types.sys[p], w, types.roles[p], types.dims[p])
+                for wires, types in zip(self.operand_wires, self.operand_types)
+                for p, w in enumerate(wires)
+                if w in final
+            )
+            if self.rows:
+                order = [final.index(leg.id) for leg in result_legs]
+                *row, (pa, sa, pb, sb, shape, perm) = self.rows[-1]
+                perm = tuple(perm[n] for n in order + [len(final) + n for n in order])
+                self.rows[-1] = (*row, (pa, sa, pb, sb, shape, perm))
         return ContractionPlan(
-            tuple(map(PlanStep._make, self.rows)), self.peak, self.operand_legs,
-            result_legs, self.operand_shapes,
+            tuple(map(PlanStep._make, self.rows)), self.peak, self.operand_wires,
+            self.operand_types, result_legs, self.operand_shapes,
         )
 
 
@@ -216,21 +245,25 @@ def plan_contraction(ops: Sequence[LabeledOperator]) -> ContractionPlan:
     is the minimum over all live sharing pairs.  Planning costs O(E log E),
     where E is the number of wire-adjacent operand pairs pushed.
     """
-    return _plan_greedy(ops, _wire_ends(ops))
+    return _plan_greedy(*_operand_tables(ops), _wire_ends(ops))
 
 
-def _plan_greedy(ops: Sequence[LabeledOperator], ends: dict[int, list[int]]) -> ContractionPlan:
-    """:func:`plan_contraction` on validated wiring: ``ends`` maps each wire id
-    to the indices of the operands it joins (open wires may be left out)."""
-    builder = _PlanBuilder(ops)
-    wires_of, size_of, dim_of = builder.wires_of, builder.size_of, builder.dim_of
+def _plan_greedy(
+    wires: Sequence[tuple[int, ...]], types: Sequence[WireTypes], ends: dict[int, list[int]]
+) -> ContractionPlan:
+    """:func:`plan_contraction` on validated wiring, given as tables: each
+    operand's wire ids and wire types in leg order, and ``ends``, which maps
+    each wire id to the indices of the operands it joins (open wires may be
+    left out)."""
+    builder = _PlanBuilder(wires, types)
+    wires_of, dims_of, size_of = builder.wires_of, builder.dims_of, builder.size_of
 
     def candidate(i: int, j: int) -> tuple[int, int, int]:
         # each shared wire leaves both operands: the product loses d twice
         wires_j, shared = wires_of[j], 1
-        for w in wires_of[i]:
+        for w, d in zip(wires_of[i], dims_of[i]):
             if w in wires_j:
-                shared *= dim_of[w]
+                shared *= d
         return size_of[i] * size_of[j] // (shared * shared), i, j
 
     pairs = {(min(holders), max(holders)) for holders in ends.values() if len(holders) == 2}
@@ -260,7 +293,7 @@ def _plan_greedy(ops: Sequence[LabeledOperator], ends: dict[int, list[int]]) -> 
 def plan_left_to_right(ops: Sequence[LabeledOperator]) -> ContractionPlan:
     """Sequential fold plan, used to cross-check plan independence."""
     _wire_ends(ops)
-    builder = _PlanBuilder(ops)
+    builder = _PlanBuilder(*_operand_tables(ops))
     acc = 0
     for j in range(1, len(ops)):
         acc = builder.contract(acc, j)
@@ -275,32 +308,40 @@ def _run_step(recipe: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> LabeledOperator:
-    """Run a plan's steps on raw tensors and wrap only the result as an operator.
+    """Run a plan's steps on the operators' tensors and wrap only the result as an operator.
+
+    Raises ValueError unless ``ops`` carry the wire ids and wire types the
+    plan was built for; the steps are :func:`_run_plan`'s.
+    """
+    if _operand_tables(ops) != (plan.operand_wires, plan.operand_types):
+        raise ValueError("plan was built for operands with other legs")
+    return _run_plan([op.matrix.reshape(s) for op, s in zip(ops, plan.operand_shapes)], plan)
+
+
+def _run_plan(tensors: list[np.ndarray], plan: ContractionPlan) -> LabeledOperator:
+    """The step loop: ``tensors`` holds one array per operand, shaped as the plan records.
 
     Each step is :func:`_run_step` on its recipe: two transposes and
     reshapes, one ``np.dot`` (BLAS), and a reshape and transpose of the
     product; that is the sequence ``np.tensordot`` runs, without its
     per-call argument handling, so the values are the same bit for bit.
+    Operands may share an array: nothing is written to them.
     Intermediates are neither checked nor symmetrized: contracting two
     Hermitian operators over the wires they share gives a Hermitian one in
     exact arithmetic.  The result is built once with the full constructor
     check, relative to its largest entry above unit scale, so a
     :class:`NonHermitianError` reports the final deviation; its legs are
-    ordered as they first appear in the operand scan.  Raises ValueError
-    unless ``ops`` carry the legs the plan was built for.
+    ordered as they first appear in the operand scan.
     """
-    if tuple(op.legs for op in ops) != plan.operand_legs:
-        raise ValueError("plan was built for operands with other legs")
-    if not ops:
+    if not tensors:
         return scalar_operator(1.0)
-    tensors = {
-        i: op.matrix.reshape(shape) for i, (op, shape) in enumerate(zip(ops, plan.operand_shapes))
-    }
-    for left, right, _, _, k, recipe in plan.steps:
-        tensors[k] = _run_step(recipe, tensors.pop(left), tensors.pop(right))
-    (tensor,) = tensors.values()
+    tensors = list(tensors)
+    for left, right, _, _, _, recipe in plan.steps:
+        # produced operands are numbered on from the inputs, in step order
+        tensors.append(_run_step(recipe, tensors[left], tensors[right]))
+        tensors[left] = tensors[right] = None
     dim = math.prod(leg.dim for leg in plan.result_legs)
-    return LabeledOperator(plan.result_legs, tensor.reshape(dim, dim))
+    return LabeledOperator(plan.result_legs, tensors[-1].reshape(dim, dim))
 
 
 def circuit_trace(ops: Sequence[LabeledOperator]) -> LabeledOperator:

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binding import Binding, resolve_binding
-from .contraction import _plan_greedy, execute_plan
+from .binding import Binding, bind_names
+from .contraction import WireTypes, _plan_greedy, _run_plan
 from .duotensor import _fiducial_overlaps
 from .errors import (
-    DimMismatchError,
     NonCircuitTermError,
     NotApplicableError,
     PhysicalityWarning,
@@ -43,31 +42,25 @@ def _require_circuit(frag: CircuitFragment) -> None:
 class _BoundFragment:
     """A fragment with its operators bound, open or closed, shared by every route.
 
-    Binding relabels each entry to its declaration, keeping leg order and
-    matrix, so the first operation of each name stands for all of them: the
-    physicality pass and the foliated transfer matrices each work once per
-    name.  The fragment validated the wiring; binding adds each wire's
-    dimension, and a wire whose second end, in operand-scan order, has
-    another raises :class:`DimMismatchError`.  The plan is built on first use.
+    Binding works per name (:func:`binding.bind_names`): each operation is
+    only its wire ids, in its operator's leg order, and no operator is built
+    per operation.  Per name it keeps the caller's operator, which the
+    physicality pass tests (its margins are cached on it), and ``first``, the
+    operator relabeled to the name's first declaration, which the foliated
+    transfer matrices and alternate-transpose positivity read.  The fragment
+    validated the wiring; binding adds each wire's dimension, and a wire
+    whose second end, in operand-scan order, has another raises
+    :class:`DimMismatchError`.  The plan is built on first use from the same
+    wire tables, and the trace runs it on one reshaped array per name.
     """
 
     def __init__(self, frag: CircuitFragment, binding: Binding):
         self.frag = frag
-        self.ops = resolve_binding(frag, binding)
-        self.first = {}  # name -> (declaration, bound operator) of its first operation
-        self.wire_dims: dict[int, int] = {}
-        for decl, op in zip(frag.ops, self.ops):
-            self.first.setdefault(decl.name, (decl, op))
-            for leg in op.legs:
-                dim = self.wire_dims.setdefault(leg.id, leg.dim)
-                if dim != leg.dim:
-                    raise DimMismatchError(
-                        f"wire id {leg.id} joins {leg.sys}(dim {dim}) to {leg.sys}(dim {leg.dim})"
-                    )
+        self.operators, self.first, self.wires, self.wire_dims = bind_names(frag, binding)
 
     def nonphysical(self, eps: float) -> list[str]:
         """One message per operation whose bound operator is not physical, in order."""
-        reports = {name: is_physical(op, eps) for name, (_, op) in self.first.items()}
+        reports = {name: is_physical(op, eps) for name, op in self.operators.items()}
         return [
             f"operator bound to {decl.name!r} is not physical "
             f"(min eig {reports[decl.name].input_transpose_min_eig:.3e}, "
@@ -78,13 +71,15 @@ class _BoundFragment:
 
     @functools.cached_property
     def plan(self):
-        """The greedy contraction plan of the bound operators, joined by the fragment's wires."""
+        """The greedy contraction plan of the wire tables, joined by the fragment's wires."""
         ends = {w.label.id: [w.producer, w.consumer] for w in self.frag.internal_wires}
-        return _plan_greedy(self.ops, ends)
+        types = {name: WireTypes.of(op.legs) for name, op in self.operators.items()}
+        return _plan_greedy(self.wires, [types[decl.name] for decl in self.frag.ops], ends)
 
     def trace(self) -> LabeledOperator:
         """The contracted operators, on the open legs in operand-scan order (1x1 if none)."""
-        return execute_plan(self.ops, self.plan)
+        tensors = {name: op.tensor() for name, op in self.operators.items()}
+        return _run_plan([tensors[decl.name] for decl in self.frag.ops], self.plan)
 
     def foliated(self, policy: str) -> float:
         """The layered state-evolution value (see :func:`probability_foliated`)."""

@@ -1,8 +1,11 @@
 """Symbolic circuit notation: parsing, printing, validation, and causal analysis.
 
-Circuits are written as whitespace-separated operations.  Each operation is a
-name followed by optional input/output port blocks, with inputs as a
-subscript block and outputs as a superscript block::
+Circuits are written as a sequence of operations, optionally separated by
+whitespace: an operation ends where its name and port blocks end, so
+``A^{a1}B_{a1}`` is two operations.  Each operation is a name followed by
+optional input/output port blocks, at most one of each in either order, with
+inputs as a subscript block and outputs as a superscript block; the labels of
+a block are separated by whitespace::
 
     A^{a1 b2} B^{a3 d4} C_{b2 a3}^{a5} D_{a1}^{b6} E_{a5 d4}^{c7} F_{b6 c7}
 
@@ -18,7 +21,7 @@ from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CircuitSyntaxError,
@@ -52,9 +55,11 @@ class SystemType:
         return self.dim * self.dim
 
 
-@dataclass(frozen=True, order=True)
-class WireLabel:
-    """A typed, integer-labelled port, e.g. ``a1``."""
+class WireLabel(NamedTuple):
+    """A typed, integer-labelled port, e.g. ``a1``.
+
+    A named tuple: equal, hashed and ordered as ``(sys, id)``.
+    """
 
     sys: str
     id: int
@@ -63,9 +68,11 @@ class WireLabel:
         return f"{self.sys}{self.id}"
 
 
-@dataclass(frozen=True)
-class OperationDecl:
-    """One operation instance: a name plus ordered input and output ports."""
+class OperationDecl(NamedTuple):
+    """One operation instance: a name plus ordered input and output ports.
+
+    A named tuple of ``(name, inputs, outputs)``.
+    """
 
     name: str
     inputs: tuple[WireLabel, ...]
@@ -84,9 +91,11 @@ class OperationDecl:
         return text
 
 
-@dataclass(frozen=True)
-class InternalWire:
-    """A wire joining the output slot of one operation to the input slot of another."""
+class InternalWire(NamedTuple):
+    """A wire joining the output slot of one operation to the input slot of another.
+
+    A named tuple of ``(producer, out_slot, consumer, in_slot, label)``.
+    """
 
     producer: int
     out_slot: int
@@ -133,6 +142,13 @@ class CircuitFragment:
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _LABEL_RE = re.compile(r"([A-Za-z]+)([0-9]+)")
 _WS_RE = re.compile(r"\s+")
+# A well-formed operation: a name, then at most one port block of each kind in
+# either order, each holding whitespace-separated labels with positive ids.
+_LABEL = r"[A-Za-z]+0*[1-9][0-9]*"
+_BLOCK = rf"\{{\s*({_LABEL}(?:\s+{_LABEL})*)\s*\}}"
+_OP_RE = re.compile(
+    rf"([A-Za-z][A-Za-z0-9]*)(?:_{_BLOCK}(?:\^{_BLOCK})?|\^{_BLOCK}(?:_{_BLOCK})?)?"
+)
 
 
 def _parse_label_block(text: str, pos: int) -> tuple[list[WireLabel], int]:
@@ -164,7 +180,8 @@ def _parse_label_block(text: str, pos: int) -> tuple[list[WireLabel], int]:
         pos = m.end()
 
 
-def _parse_op(text: str, pos: int) -> tuple[OperationDecl, int]:
+def _scan_op(text: str, pos: int) -> tuple[OperationDecl, int]:
+    """Parse one operation character by character, naming the first grammar violation."""
     m = _NAME_RE.match(text, pos)
     if not m:
         raise CircuitSyntaxError("malformed operation", pos, "operation name")
@@ -185,6 +202,30 @@ def _parse_op(text: str, pos: int) -> tuple[OperationDecl, int]:
     return OperationDecl(name, tuple(inputs or ()), tuple(outputs or ())), pos
 
 
+def _parse_op(text: str, pos: int, interned: dict[str, WireLabel]) -> tuple[OperationDecl, int]:
+    """Parse one operation: one pattern match for a well-formed one, else :func:`_scan_op`.
+
+    A match followed by ``^`` or ``_`` (a second block of a kind, or a block
+    the pattern refused) is rescanned from ``pos``, so every error is the
+    scanner's.  Labels are shared through ``interned``, keyed by their text.
+    """
+    m = _OP_RE.match(text, pos)
+    if m is None or text.startswith(("^", "_"), m.end()):
+        return _scan_op(text, pos)
+    name, ins, outs, outs2, ins2 = m.groups()
+    ports = []
+    for block in (ins or ins2, outs or outs2):
+        labels = []
+        for token in block.split() if block else ():
+            label = interned.get(token)
+            if label is None:
+                sys_name, id_text = _LABEL_RE.match(token).groups()
+                label = interned[token] = WireLabel(sys_name, int(id_text))
+            labels.append(label)
+        ports.append(tuple(labels))
+    return OperationDecl(name, *ports), m.end()
+
+
 def parse_circuit(text: str) -> CircuitFragment:
     """Parse DSL text into a validated :class:`CircuitFragment`.
 
@@ -192,13 +233,14 @@ def parse_circuit(text: str) -> CircuitFragment:
     :class:`WiringError` subclasses on wiring-rule violations.
     """
     ops: list[OperationDecl] = []
+    interned: dict[str, WireLabel] = {}
     pos = 0
     while pos < len(text):
         ws = _WS_RE.match(text, pos)
         if ws:
             pos = ws.end()
             continue
-        op, pos = _parse_op(text, pos)
+        op, pos = _parse_op(text, pos, interned)
         ops.append(op)
     return fragment_from_ops(ops)
 
@@ -214,14 +256,14 @@ def fragment_from_ops(ops: Iterable[OperationDecl]) -> CircuitFragment:
         for slot, lab in enumerate(op.outputs):
             occurrences.setdefault(lab.id, []).append((i, OUTPUT, slot, lab))
 
-    open_ports: set[WireLabel] = set()
+    open_ids: set[int] = set()
     wires: list[InternalWire] = []
     for wire_id, occ in sorted(occurrences.items()):
         if len(occ) > 2:
             where = ", ".join(f"{ops[i].name}.{role}" for i, role, _, _ in occ)
             raise OneWireViolation(f"id {wire_id} used {len(occ)} times ({where})")
         if len(occ) == 1:
-            open_ports.add(occ[0][3])
+            open_ids.add(wire_id)
             continue
         (i1, r1, s1, l1), (i2, r2, s2, l2) = occ
         if r1 == r2:
@@ -240,8 +282,8 @@ def fragment_from_ops(ops: Iterable[OperationDecl]) -> CircuitFragment:
 
     order, successors = _dag_order(ops, wires)
     # open ports in declaration order
-    open_inputs = tuple(lab for op in ops for lab in op.inputs if lab in open_ports)
-    open_outputs = tuple(lab for op in ops for lab in op.outputs if lab in open_ports)
+    open_inputs = tuple(lab for op in ops for lab in op.inputs if lab.id in open_ids)
+    open_outputs = tuple(lab for op in ops for lab in op.outputs if lab.id in open_ids)
     return CircuitFragment(ops, open_inputs, open_outputs, tuple(wires), order, successors)
 
 

@@ -67,9 +67,11 @@ class LabeledOperator:
     The matrix is stored with factor order equal to ``legs`` order and is
     symmetrized on construction; a deviation from Hermiticity beyond ``TOL``,
     relative to ``max|M|`` above unit scale, raises :class:`NonHermitianError`.
+    The one private slot ``_margins`` caches :func:`physicality.is_physical`'s
+    two margins, which depend only on the (immutable) legs and matrix.
     """
 
-    __slots__ = ("legs", "matrix")
+    __slots__ = ("legs", "matrix", "_margins")
 
     def __init__(self, legs: Iterable[Leg], matrix: np.ndarray):
         legs = tuple(legs)

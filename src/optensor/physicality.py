@@ -56,10 +56,21 @@ class PhysicalityReport:
 
 
 def is_physical(op: LabeledOperator, eps: float = 1e-9) -> PhysicalityReport:
-    """Spectral physicality test with both margins reported."""
-    lam = min_eigenvalue(input_transpose(op))
-    traced = output_trace(op).matrix
-    excess = float(np.linalg.eigvalsh(traced - np.eye(len(traced)))[-1])
+    """Spectral physicality test with both margins reported.
+
+    The margins, the input transpose's smallest eigenvalue and the output
+    trace's largest excess over the identity, are solved on the first call
+    for an operator object and kept on it: an operator is immutable and its
+    matrix read-only.  Each call applies its own ``eps``.
+    """
+    margins = getattr(op, "_margins", None)
+    if margins is None:
+        lam = min_eigenvalue(input_transpose(op))
+        traced = output_trace(op).matrix
+        excess = float(np.linalg.eigvalsh(traced - np.eye(len(traced)))[-1])
+        margins = (lam, excess)
+        object.__setattr__(op, "_margins", margins)
+    lam, excess = margins
     return PhysicalityReport(lam >= -eps and excess <= eps, lam, excess, eps)
 
 

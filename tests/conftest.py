@@ -326,7 +326,7 @@ def count_bind_plan_check(monkeypatch) -> dict[str, list]:
     return {
         name: count_calls(monkeypatch, module, name)
         for module, name in (
-            (binding_module, "resolve_binding"),
+            (binding_module, "bind_names"),
             (contraction, "_plan_greedy"),
             (physicality, "is_physical"),
         )

@@ -238,7 +238,7 @@ class TestEval:
         assert code == 0 and "probability_foliation: 2.250000000000" in out
         assert err.count("warning: operator bound to 'W' is not physical") == 1
         assert {name: len(made) for name, made in calls.items()} == {
-            "resolve_binding": 1,
+            "bind_names": 1,
             "_plan_greedy": 1,
             "is_physical": 3,  # P, W and R
         }
@@ -253,7 +253,7 @@ class TestEval:
         code, _, _ = run(capsys, *argv, "--method", method, *["--explain"] * explain)
         assert code == 0
         assert {name: len(made) for name, made in calls.items()} == {
-            "resolve_binding": 1,
+            "bind_names": 1,
             "_plan_greedy": 0 if method == "foliation" and not explain else 1,
             "is_physical": 2,  # P and R
         }

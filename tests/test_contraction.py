@@ -22,7 +22,8 @@ from conftest import (
 )
 
 import optensor as ot
-from optensor import LabeledOperator, Leg, WireLabel, contraction, notation
+from optensor import LabeledOperator, Leg, WireLabel, contraction, notation, physicality
+from optensor import binding as binding_module
 from optensor.binding import resolve_binding
 from optensor.contraction import ContractionPlan, _run_step
 from optensor.errors import DimMismatchError, LabelArityError
@@ -614,7 +615,7 @@ class TestPlanRecipe:
             open_ids = {leg.id for leg in ot.circuit_trace(ops).legs}
             scan = tuple(leg for op in ops for leg in op.legs if leg.id in open_ids)
             assert ot.plan_contraction(ops).result_legs == scan
-            assert ot.plan_left_to_right(ops).operand_legs == tuple(op.legs for op in ops)
+            assert ot.plan_left_to_right(ops).operand_wires == tuple(op.ids for op in ops)
 
     def test_plan_for_other_operands_raises(self, rng):
         for ops in executor_cases(rng):
@@ -690,3 +691,26 @@ class TestCounts:
             assert (len(orders), len(ends)) == (1, 0)
             ot.circuit_trace(resolve_binding(parsed, binding))
             assert (len(orders), len(ends)) == (1, 1)
+
+    def test_bind_by_name_and_one_eigensolve_per_operator(self, monkeypatch):
+        """A bind relabels one operator per distinct name, so it copies only
+        those names' legs; the physicality margins of an operator object are
+        solved once however many binds test it."""
+        orders = count_calls(monkeypatch, notation, "_dag_order")
+        relabels = count_calls(monkeypatch, binding_module, "relabel_to_decl")
+        solves = count_calls(monkeypatch, physicality, "min_eigenvalue")
+        copied = _spy(monkeypatch, Leg, "_on_wire")
+        for n_ops in (500, 1000, 2000, 4000):
+            frag, binding = random_dag(np.random.default_rng(7), n_ops, 6)
+            names = {decl.name for decl in frag.ops}
+            for counts in (orders, relabels, solves, copied):
+                counts.clear()
+            parsed = ot.parse_circuit(str(frag))
+            ot.probability(parsed, binding)
+            assert len(relabels) == len(names)
+            assert len(copied) == sum(len(binding[name].legs) for name in names)
+            ot.probability_foliated(parsed, binding)
+            ot.p_function(ot.CircuitExpression(((1.0, parsed),)), binding)
+            assert len(relabels) == 3 * len(names)
+            assert len(solves) == len({id(binding[name]) for name in names})
+            assert len(orders) == 1

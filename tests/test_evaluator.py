@@ -13,7 +13,12 @@ import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
 from optensor.binding import Binding, resolve_binding
 from optensor.contraction import circuit_trace
-from optensor.evaluator import _bind_circuit, _hermitian_basis, _transfer_matrix
+from optensor.evaluator import (
+    _bind_circuit,
+    _BoundFragment,
+    _hermitian_basis,
+    _transfer_matrix,
+)
 from optensor.notation import CIRCUIT, INPUT, OUTPUT, CircuitFragment, foliate
 from optensor.physicality import input_transpose
 from conftest import (
@@ -289,7 +294,7 @@ class TestPFunction:
         expr = ot.CircuitExpression(((0.3, frag_a), (0.7, frag_b)))
         ot.p_function(expr, {**bind_a, **bind_b})
         assert {name: len(made) for name, made in calls.items()} == {
-            "resolve_binding": 2,
+            "bind_names": 2,
             "_plan_greedy": 2,
             "is_physical": len({decl.name for decl in frag_a.ops}) + 2,
         }
@@ -357,7 +362,7 @@ class TestFragmentOperator:
             warnings.simplefilter("error")
             out = ot.fragment_operator(frag, binding)
         assert {name: len(made) for name, made in calls.items()} == {
-            "resolve_binding": 1,
+            "bind_names": 1,
             "_plan_greedy": 1,
             "is_physical": 0,
         }
@@ -382,6 +387,21 @@ class TestFragmentOperator:
             want = _reference_fragment_operator(frag, binding)
             assert got.legs == want.legs
             assert np.array_equal(got.matrix, want.matrix)
+        # closed circuits: the bound fragment plans its wire tables exactly as
+        # the planner plans the relabeled operators, and evaluates them bit for bit
+        closed = mixed_circuits(rng)
+        closed.append(random_brickwork(rng, width=6, depth=6))
+        closed.append(random_dag(np.random.default_rng(7), 1000, 6))
+        for frag, binding in closed:
+            ops = resolve_binding(frag, binding)
+            plan, want = _BoundFragment(frag, binding).plan, ot.plan_contraction(ops)
+            assert len(plan.steps) == len(want.steps)
+            for got_step, want_step in zip(plan.steps, want.steps):
+                assert got_step == want_step
+            assert plan == want
+            assert plan.dump() == want.dump()
+            got = ot.probability(frag, binding, check_physical=False)
+            assert got.hex() == circuit_trace(ops).scalar.hex()
 
 
 def _reference_fragment_operator(frag: CircuitFragment, binding: Binding) -> LabeledOperator:
@@ -419,7 +439,7 @@ class TestClosedOnlyEntryPoints:
             entry(frag, binding)
         assert str(caught.value) == "fragment has open ports (kind=preparation)"
         assert {name: len(made) for name, made in calls.items()} == {
-            "resolve_binding": 0,
+            "bind_names": 0,
             "_plan_greedy": 0,
             "is_physical": 0,
         }
@@ -477,7 +497,7 @@ class TestFormalismLocality:
         calls = count_bind_plan_check(monkeypatch)
         assert ot.formalism_locality_ratio(frag_a, frag_b, binding) is not None
         assert {name: len(made) for name, made in calls.items()} == {
-            "resolve_binding": 2,
+            "bind_names": 2,
             "_plan_greedy": 2,
             "is_physical": 0,
         }
@@ -618,7 +638,8 @@ def test_ten_qubit_brickwork_routes_agree(rng):
 # ---------------------------------------------------------------------------
 # The real-coefficient foliated route against the complex one it replaced.
 # The reference is kept verbatim apart from its name and docstring, and its
-# bind step, which it shares with the route under test.
+# bind step: it warns through the route under test's bind and relabels each
+# operation through resolve_binding.
 
 
 def _reference_foliated(
@@ -630,10 +651,11 @@ def _reference_foliated(
 ) -> float:
     """The complex foliated route: the state holds ket and bra axes per
     live wire and each operation contracts its Choi tensor into it."""
-    bound = _bind_circuit(circuit, binding, eps, check_physical).ops
+    _bind_circuit(circuit, binding, eps, check_physical)
+    bound = resolve_binding(circuit, binding)
     fol = foliate(circuit, policy)
 
-    # Relabeling keeps leg order and matrix (see _BoundFragment), so one
+    # Relabeling keeps leg order and matrix (see relabel_to_decl), so one
     # Choi tensor serves every operation with a given name.
     chois: dict[str, np.ndarray] = {}
     live: list[int] = []  # wire ids carried by the state, in axis order

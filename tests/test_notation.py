@@ -1,7 +1,9 @@
 """Parser, canonical printing, causal structure, and foliation."""
 
+import re
 from collections.abc import Set
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,6 +120,82 @@ def test_syntax_errors_carry_position():
         parse_circuit("A^{a0}")  # ids are positive
     with pytest.raises(CircuitSyntaxError):
         parse_circuit("A^{a1b2}")  # labels must be separated
+
+
+# Near-misses of valid circuit text, each edit at its k-th site: a brace, ``_``
+# or ``^`` dropped or doubled, a subscript-then-superscript pair swapped, an id
+# set to 0, a non-ASCII digit or space inserted, a space deleted.
+EDITS = ("drop", "double", "swap", "zero", "insert", "despace")
+
+
+def _edit(text: str, kind: str, k: int) -> str:
+    if kind == "insert":
+        i = k % (len(text) + 1)
+        return text[:i] + "\xa0\u0661\u00b2\u2003"[k % 4] + text[i:]
+    if kind == "swap":
+        pairs = re.finditer(r"(_{[^}]*})(\^{[^}]*})", text)
+        sites = [(m.start(), m.end(), m[2] + m[1]) for m in pairs]
+    elif kind == "zero":
+        ids = re.finditer(r"(?<=[A-Za-z])[0-9]+(?=[\s}])", text)
+        sites = [(m.start(), m.end(), "0" * (1 + k % 2)) for m in ids]
+    else:
+        marks = {"drop": "{}_^", "double": "{}_^", "despace": " "}[kind]
+        double = kind == "double"
+        sites = [(i, i + 1, c * 2 if double else "") for i, c in enumerate(text) if c in marks]
+    if not sites:
+        return text
+    start, stop, replacement = sites[k % len(sites)]
+    return text[:start] + replacement + text[stop:]
+
+
+def _outcome(text: str):
+    """The fragment parsed from ``text``, or the error's class, message and position."""
+    try:
+        return parse_circuit(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def _scanned(text: str):
+    """:func:`_outcome` with every operation read by the character scanner alone."""
+    scan_only = lambda text, pos, interned: notation._scan_op(text, pos)  # noqa: E731
+    with mock.patch.object(notation, "_parse_op", scan_only):
+        return _outcome(text)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dag=st.booleans(),
+    edits=st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 10**6)), max_size=3),
+)
+def test_parser_agrees_with_the_scanner_on_near_misses(seed, dag, edits):
+    """The one-pattern parse gives the scanner's fragment, or its error, class,
+    message and position alike."""
+    rng = np.random.default_rng(seed)
+    frag = random_dag(rng, 20, 3)[0] if dag else random_circuit(rng, max_ops=6)[0]
+    text = str(frag)
+    for kind, k in edits:
+        text = _edit(text, kind, k)
+    assert _outcome(text) == _scanned(text)
+
+
+def test_parser_reads_juxtaposed_operations_by_pattern(monkeypatch):
+    """Whitespace between operations is optional, and well-formed text never
+    reaches the scanner."""
+    frag = parse_circuit("A^{a1}B_{a1}^{b2}C_{b2}")
+    assert [str(op) for op in frag.ops] == ["A^{a1}", "B_{a1}^{b2}", "C_{b2}"]
+    assert frag.kind == "circuit" and len(frag.internal_wires) == 2
+    texts = [
+        "A^{a1}B_{a1}^{b2}C_{b2}",
+        "P^{a1 a2}G_{ a1\xa0a2 }^{a3}R_{a3}",
+        "A^{a1}_{a2}",
+        str(random_dag(np.random.default_rng(7), 300, 6)[0]),
+    ]
+    scans = count_calls(monkeypatch, notation, "_scan_op")
+    parsed = [parse_circuit(text) for text in texts]
+    assert scans == []
+    assert parsed == [_scanned(text) for text in texts]
 
 
 def test_print_canonical_sorting():

@@ -349,7 +349,7 @@ class TestAlternateTranspose:
         calls = count_bind_plan_check(monkeypatch)
         ot.alternate_transpose_positivity(frag, binding)
         assert {name: len(made) for name, made in calls.items()} == {
-            "resolve_binding": 1,
+            "bind_names": 1,
             "_plan_greedy": 1,
             "is_physical": 3,  # P, W and R
         }
