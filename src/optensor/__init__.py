@@ -6,7 +6,7 @@ foliated state evolution, verify physicality, and run duotensor
 decomposition, process tomography, and formalism-locality analysis.
 """
 
-from .binding import Binding, relabel_to_decl, resolve_binding
+from .binding import Binding, resolve_binding
 from .contraction import (
     ContractionPlan,
     PlanStep,

@@ -59,10 +59,9 @@ class ContractionPlan:
     ``peak_dim`` is the largest total dimension any produced intermediate
     reaches while executing the steps.  The operands the plan was built for
     are recorded as tables: ``operand_wires`` holds each operand's wire ids
-    and ``operand_types`` its :class:`WireTypes`, both in leg order, and
-    ``operand_shapes`` each operand's tensor shape, one ket then one bra axis
-    per leg.  ``result_legs`` are the legs of the result, the open wires
-    ordered as they first appear in the operand scan; no other leg is built.
+    and ``operand_types`` its :class:`WireTypes`, both in leg order.
+    ``result_legs`` are the legs of the result, the open wires ordered as
+    they first appear in the operand scan; no other leg is built.
     """
 
     steps: tuple[PlanStep, ...]
@@ -70,7 +69,6 @@ class ContractionPlan:
     operand_wires: tuple[tuple[int, ...], ...]
     operand_types: tuple[WireTypes, ...]
     result_legs: tuple[Leg, ...]
-    operand_shapes: tuple[tuple[int, ...], ...]
 
     def dump(self) -> str:
         """One line per step, each contracted wire written as ``sys`` then id."""
@@ -143,7 +141,6 @@ class _PlanBuilder:
         self.wires_of = dict(enumerate(self.operand_wires))
         self.dims_of = {i: t.dims for i, t in enumerate(self.operand_types)}
         self.size_of = {i: math.prod(dims) for i, dims in self.dims_of.items()}
-        self.operand_shapes = tuple(dims + dims for dims in self.dims_of.values())
         self.rows: list[tuple] = []
         self.peak = max(self.size_of.values(), default=1)
 
@@ -227,7 +224,7 @@ class _PlanBuilder:
                 self.rows[-1] = (*row, (pa, sa, pb, sb, shape, perm))
         return ContractionPlan(
             tuple(map(PlanStep._make, self.rows)), self.peak, self.operand_wires,
-            self.operand_types, result_legs, self.operand_shapes,
+            self.operand_types, result_legs,
         )
 
 
@@ -315,7 +312,7 @@ def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> Label
     """
     if _operand_tables(ops) != (plan.operand_wires, plan.operand_types):
         raise ValueError("plan was built for operands with other legs")
-    return _run_plan([op.matrix.reshape(s) for op, s in zip(ops, plan.operand_shapes)], plan)
+    return _run_plan([op.tensor() for op in ops], plan)
 
 
 def _run_plan(tensors: list[np.ndarray], plan: ContractionPlan) -> LabeledOperator:

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .notation import INPUT, OUTPUT, SystemType, WireLabel
 from .operators import TOL, Leg, LabeledOperator, _beyond_tol, identity_transformation
-from .operators import from_json_dict, to_json_dict
+from .operators import _json_int, from_json_dict, to_json_dict
 from .physicality import is_physical
 
 BLACK = "black"
@@ -382,7 +382,7 @@ def duotensor_to_json_dict(dt: Duotensor) -> dict:
 
 def duotensor_from_json_dict(data: dict) -> Duotensor:
     indices = tuple(
-        DuoIndex(e["type"], int(e["id"]), e["role"], int(e["dim"]), e["color"])
+        DuoIndex(e["type"], _json_int(e, "id"), e["role"], _json_int(e, "dim"), e["color"])
         for e in data["indices"]
     )
     shape = tuple(ix.k for ix in indices)
@@ -411,7 +411,7 @@ def dump_fiducials(fset: FiducialSet, directory) -> None:
 def load_fiducials(directory) -> FiducialSet:
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    sys_type = SystemType(manifest["type"], int(manifest["dim"]))
+    sys_type = SystemType(manifest["type"], _json_int(manifest, "dim"))
     preps = [
         from_json_dict(json.loads((directory / name).read_text()))
         for name in manifest["preps"]

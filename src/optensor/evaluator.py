@@ -43,20 +43,20 @@ class _BoundFragment:
     """A fragment with its operators bound, open or closed, shared by every route.
 
     Binding works per name (:func:`binding.bind_names`): each operation is
-    only its wire ids, in its operator's leg order, and no operator is built
-    per operation.  Per name it keeps the caller's operator, which the
-    physicality pass tests (its margins are cached on it), and ``first``, the
-    operator relabeled to the name's first declaration, which the foliated
-    transfer matrices and alternate-transpose positivity read.  The fragment
-    validated the wiring; binding adds each wire's dimension, and a wire
-    whose second end, in operand-scan order, has another raises
+    only its wire ids, in its operator's leg order, and no leg or operator is
+    built.  Per name it keeps the caller's operator, the one object every
+    route reads: the physicality pass tests it (its margins are cached on
+    it), the trace reshapes it, and the foliated transfer matrices and
+    alternate-transpose positivity need only its leg order and roles.  The
+    fragment validated the wiring; binding adds each wire's dimension, and a
+    wire whose second end, in operand-scan order, has another raises
     :class:`DimMismatchError`.  The plan is built on first use from the same
     wire tables, and the trace runs it on one reshaped array per name.
     """
 
     def __init__(self, frag: CircuitFragment, binding: Binding):
         self.frag = frag
-        self.operators, self.first, self.wires, self.wire_dims = bind_names(frag, binding)
+        self.operators, self.wires, self.wire_dims = bind_names(frag, binding)
 
     def nonphysical(self, eps: float) -> list[str]:
         """One message per operation whose bound operator is not physical, in order."""
@@ -86,13 +86,14 @@ class _BoundFragment:
         decls = self.frag.ops
         fol = foliate(self.frag, policy)
         steps = [op_index for layer in fol.layers for op_index in layer]
+        # the k-th input leg takes input port k, and likewise outputs, so inputs
+        # then outputs, each in leg order, is every declaration's port order
         transfers = {
-            name: _transfer_matrix(op.permuted([w.id for w in decl.labels]))
-            for name, (decl, op) in self.first.items()
+            name: _transfer_matrix(op.permuted([l.id for l in op.input_legs + op.output_legs]))
+            for name, op in self.operators.items()
         }
         axis_sizes = {
-            name: [self.wire_dims[w.id] ** 2 for w in decl.outputs]
-            for name, (decl, _) in self.first.items()
+            name: [leg.dim**2 for leg in op.output_legs] for name, op in self.operators.items()
         }
         size = peak = 1
         for op_index in steps:
@@ -373,7 +374,7 @@ def alternate_transpose_positivity(
     its operations.  The circuit value is evaluated alongside.
 
     A member's spectrum depends only on its matrix, leg order and layer
-    parity, so it is solved once per operation name (binding keeps both) or
+    parity, so it is solved once per operation name (its operator holds both) or
     padding dimension, and parity.
     """
     bound = _bind_circuit(circuit, binding, eps, check_physical=False)
@@ -393,7 +394,7 @@ def alternate_transpose_positivity(
             if (key, k % 2) in spectra:
                 continue
             if wire is None:
-                op = bound.first[key][1]
+                op = bound.operators[key]
             else:
                 op = identity_transformation(wire, WireLabel(wire.sys, 0), key)
             side = op.output_legs if k % 2 == 0 else op.input_legs

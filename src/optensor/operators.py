@@ -50,13 +50,6 @@ class Leg:
     def wire(self) -> WireLabel:
         return WireLabel(self.sys, self.id)
 
-    def _on_wire(self, wire_id: int) -> Leg:
-        """This leg with only its wire id replaced: a copy that skips re-validation."""
-        leg = object.__new__(Leg)
-        leg.__dict__.update(self.__dict__)
-        leg.__dict__["id"] = wire_id
-        return leg
-
     def __str__(self) -> str:
         return f"{self.sys}{self.id}:{self.role[:3]}"
 
@@ -111,6 +104,11 @@ class LabeledOperator:
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledOperator is immutable")
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, which checks the
+        # matrix again, makes it read-only and leaves the cached margins behind
+        return type(self), (self.legs, self.matrix)
 
     # -- structure ---------------------------------------------------------
 
@@ -440,6 +438,14 @@ def to_json_dict(op: LabeledOperator) -> dict:
     }
 
 
+def _json_int(entry: dict, field: str) -> int:
+    """``entry[field]``, which must be a JSON integer: not a bool, float or string."""
+    value = entry[field]
+    if type(value) is not int:
+        raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def from_json_dict(data: dict) -> LabeledOperator:
     legs = []
     for entry in data["labels"]:
@@ -447,7 +453,8 @@ def from_json_dict(data: dict) -> LabeledOperator:
         id_text = entry["id"]
         if not id_text.startswith(sys_name) or not id_text[len(sys_name):].isdigit():
             raise ValueError(f"label id {id_text!r} does not match type {sys_name!r}")
-        legs.append(Leg(sys_name, int(id_text[len(sys_name):]), entry["role"], int(entry["dim"])))
+        wire_id = int(id_text[len(sys_name):])
+        legs.append(Leg(sys_name, wire_id, entry["role"], _json_int(entry, "dim")))
     dim = math.prod(l.dim for l in legs)
     flat = np.array([complex(re, im) for re, im in data["matrix"]])
     if flat.size != dim * dim:

@@ -206,8 +206,9 @@ def witness_nonphysical(op: LabeledOperator, eps: float = 1e-9) -> Witness:
 
 
 def is_complete_set(ops: Sequence[LabeledOperator], eps: float = 1e-9) -> bool:
-    """True iff every member has positive input transpose and the summed
-    output traces equal the identity on the inputs."""
+    """True iff every member has positive input transpose (the margin that
+    :func:`is_physical` solves once per operator) and the summed output
+    traces equal the identity on the inputs."""
     if not ops:
         raise SignatureMismatchError("empty operator set")
     signature = ops[0].legs
@@ -217,7 +218,7 @@ def is_complete_set(ops: Sequence[LabeledOperator], eps: float = 1e-9) -> bool:
                 f"leg signature {op.legs} differs from {signature}"
             )
     for op in ops:
-        if min_eigenvalue(input_transpose(op)) < -eps:
+        if is_physical(op, eps).input_transpose_min_eig < -eps:
             return False
     total = sum(output_trace(op).matrix for op in ops)
     return bool(np.max(np.abs(total - np.eye(total.shape[0]))) <= eps)

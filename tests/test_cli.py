@@ -595,6 +595,24 @@ class TestFileErrors:
         assert_one_line_failure(result, 65)
         assert result[2] == f"error: bad binding file names.txt line 3: {problem}\n"
 
+    @pytest.mark.parametrize("bad", [2.9, True, "2"])
+    @pytest.mark.parametrize(
+        "command, source, kind, entries",
+        [
+            ("physical", "prep.json", "operator", "labels"),
+            ("reconstruct", "prep.duo.json", "duotensor", "indices"),
+        ],
+    )
+    def test_non_integer_dim_exit_65(self, capsys, command, source, kind, entries, bad):
+        data = json.loads(Path(source).read_text())
+        data[entries][0]["dim"] = bad
+        Path("bad.json").write_text(json.dumps(data))
+        result = run(capsys, command, "bad.json")
+        assert_one_line_failure(result, 65)
+        assert result[2] == (
+            f"error: bad {kind} file bad.json: field 'dim' must be an integer, got {bad!r}\n"
+        )
+
     def test_malformed_operator_in_binding_exit_65(self, capsys):
         Path("prep.json").write_text("{not json")
         result = run(capsys, "eval", "pair.circ", "binding.txt")

@@ -22,8 +22,15 @@ from conftest import (
 )
 
 import optensor as ot
-from optensor import LabeledOperator, Leg, WireLabel, contraction, notation, physicality
-from optensor import binding as binding_module
+from optensor import (
+    LabeledOperator,
+    Leg,
+    WireLabel,
+    contraction,
+    evaluator,
+    notation,
+    physicality,
+)
 from optensor.binding import resolve_binding
 from optensor.contraction import ContractionPlan, _run_step
 from optensor.errors import DimMismatchError, LabelArityError
@@ -693,24 +700,28 @@ class TestCounts:
             assert (len(orders), len(ends)) == (1, 1)
 
     def test_bind_by_name_and_one_eigensolve_per_operator(self, monkeypatch):
-        """A bind relabels one operator per distinct name, so it copies only
-        those names' legs; the physicality margins of an operator object are
-        solved once however many binds test it."""
+        """A bind builds no leg and no operator: a bound fragment holds only
+        the caller's operators and its wire tables.  The physicality margins
+        of an operator object are solved once however many binds test it."""
         orders = count_calls(monkeypatch, notation, "_dag_order")
-        relabels = count_calls(monkeypatch, binding_module, "relabel_to_decl")
         solves = count_calls(monkeypatch, physicality, "min_eigenvalue")
-        copied = _spy(monkeypatch, Leg, "_on_wire")
+        built = [
+            _spy(monkeypatch, Leg, "__post_init__"),
+            _spy(monkeypatch, LabeledOperator, "__init__"),
+            _spy(monkeypatch, LabeledOperator, "_from_valid"),
+        ]
         for n_ops in (500, 1000, 2000, 4000):
             frag, binding = random_dag(np.random.default_rng(7), n_ops, 6)
             names = {decl.name for decl in frag.ops}
-            for counts in (orders, relabels, solves, copied):
+            for counts in (orders, solves, *built):
                 counts.clear()
             parsed = ot.parse_circuit(str(frag))
+            bound = evaluator._BoundFragment(parsed, binding)
+            assert built == [[], [], []]
+            assert set(bound.operators) == names
+            assert all(op is binding[name] for name, op in bound.operators.items())
             ot.probability(parsed, binding)
-            assert len(relabels) == len(names)
-            assert len(copied) == sum(len(binding[name].legs) for name in names)
             ot.probability_foliated(parsed, binding)
             ot.p_function(ot.CircuitExpression(((1.0, parsed),)), binding)
-            assert len(relabels) == 3 * len(names)
             assert len(solves) == len({id(binding[name]) for name in names})
             assert len(orders) == 1

@@ -1,5 +1,6 @@
 """Fiducial sets, the hopping metric, decomposition, and dot conversion."""
 
+import copy
 import re
 
 import numpy as np
@@ -299,7 +300,12 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "key, value, message",
-        [("role", "inptu", "role must be 'input' or 'output', got 'inptu'"), ("dim", 0, "dim >= 1")],
+        [("role", "inptu", "role must be 'input' or 'output', got 'inptu'"), ("dim", 0, "dim >= 1")]
+        + [
+            (key, bad, f"field {key!r} must be an integer, got {bad!r}")
+            for key in ("id", "dim")
+            for bad in (2.9, True, "2")
+        ],
     )
     def test_duotensor_json_with_a_bad_index_rejected(self, key, value, message):
         from optensor.duotensor import duotensor_from_json_dict, duotensor_to_json_dict
@@ -309,6 +315,14 @@ class TestSerialization:
         data["indices"][0][key] = value
         with pytest.raises(ValueError, match=re.escape(message)):
             duotensor_from_json_dict(data)
+
+
+def test_fiducial_set_deepcopies():
+    fset = ot.default_fiducials(QUBIT)
+    again = copy.deepcopy(fset)
+    assert [op.legs for op in again.preps] == [op.legs for op in fset.preps]
+    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(again.results, fset.results))
+    assert np.array_equal(again.metric, fset.metric)
 
 
 def test_shape_mismatch():

@@ -20,6 +20,7 @@ from optensor.evaluator import (
     _transfer_matrix,
 )
 from optensor.notation import CIRCUIT, INPUT, OUTPUT, CircuitFragment, foliate
+from optensor.operators import partial_transpose
 from optensor.physicality import input_transpose
 from conftest import (
     DIMS,
@@ -655,7 +656,7 @@ def _reference_foliated(
     bound = resolve_binding(circuit, binding)
     fol = foliate(circuit, policy)
 
-    # Relabeling keeps leg order and matrix (see relabel_to_decl), so one
+    # Relabeling keeps leg order and matrix (see resolve_binding), so one
     # Choi tensor serves every operation with a given name.
     chois: dict[str, np.ndarray] = {}
     live: list[int] = []  # wire ids carried by the state, in axis order
@@ -786,6 +787,78 @@ class TestRealFoliatedRoute:
         coefficients = np.einsum("aij,ji->a", _hermitian_basis(2), rho.matrix).real
         want = np.einsum("aij,ji->a", _hermitian_basis(3), evolved).real
         np.testing.assert_allclose(coefficients @ _transfer_matrix(chan), want, atol=1e-14)
+
+
+# P stores its legs b then a, as declared; G's legs are permuted per case
+INTERLEAVED = "P^{b1 a2} G_{a2 b1}^{a3 b4} G_{a3 b4}^{a5 b6} R_{a5 b6}"
+
+
+class TestBindByName:
+    """Each name's operator is used as stored: its k-th input leg takes input
+    port k and its k-th output leg output port k, whatever its leg order."""
+
+    @pytest.mark.parametrize(
+        "order", [(3, 4, 1, 2), (1, 3, 2, 4), (3, 1, 4, 2)],
+        ids=["reversed", "interleaved", "out-first-interleaved"],
+    )
+    def test_stored_leg_order_gives_the_relabeled_values(self, rng, order):
+        frag = ot.parse_circuit(INTERLEAVED)
+        gate = ot.random_physical_transformation(
+            [Leg("a", 1, INPUT, 2), Leg("b", 2, INPUT, 3)],
+            [Leg("a", 3, OUTPUT, 2), Leg("b", 4, OUTPUT, 3)],
+            rng,
+            trace_preserving=True,
+        )
+        binding = {
+            "P": ot.random_preparation([Leg("b", 1, OUTPUT, 3), Leg("a", 2, OUTPUT, 2)], rng),
+            "G": gate.permuted(order),
+            "R": ot.random_result([Leg("a", 1, INPUT, 2), Leg("b", 2, INPUT, 3)], rng),
+        }
+        resolved = resolve_binding(frag, binding)
+        relabeled = {}  # each name's operator on its first declaration's wires
+        for decl, op in zip(frag.ops, resolved):
+            relabeled.setdefault(decl.name, op)
+        direct = ot.probability(frag, binding)
+        assert direct == circuit_trace(resolved).scalar
+        for policy in ("earliest", "latest"):
+            layered = ot.probability_foliated(frag, binding, policy)
+            assert layered == ot.probability_foliated(frag, relabeled, policy)
+            assert abs(layered - _reference_foliated(frag, binding, policy)) <= 1e-12
+            assert abs(layered - direct) <= 1e-10
+            report = ot.alternate_transpose_positivity(frag, binding, policy=policy)
+            assert report == ot.alternate_transpose_positivity(frag, relabeled, policy=policy)
+            assert report.value == direct
+            # one operation per layer and no padding: each margin is its own
+            for layer, (op_index,) in zip(report.layers, foliate(frag, policy).layers):
+                op = resolved[op_index]
+                side = op.output_legs if layer.index % 2 == 0 else op.input_legs
+                assert layer.min_eig == np.linalg.eigvalsh(partial_transpose(op, side).matrix)[0]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("P^{a1} W_{a1}^{a2 a3} R_{a2} R_{a3}",
+             "W: declared 1->2 ports, operator has 1->1 legs"),
+            ("P^{a1} W_{a1}^{a2} Q_{a2}", "Q: declared 1->0 ports, operator has 2->0 legs"),
+            ("P^{a1} W_{a1}^{b2} R_{b2}", "W: port b2 has type 'b', operator leg is 'a'"),
+            ("S^{b1} W_{b1}^{a2} R_{a2}", "W: port b1 has type 'b', operator leg is 'a'"),
+        ],
+    )
+    def test_first_declaration_mismatch_raises_the_reference_message(self, rng, text, message):
+        frag = ot.parse_circuit(text)
+        binding = {
+            "P": ot.random_preparation([Leg("a", 1, OUTPUT, 2)], rng),
+            "S": ot.random_preparation([Leg("b", 1, OUTPUT, 3)], rng),
+            "W": ot.random_physical_transformation(
+                [Leg("a", 1, INPUT, 2)], [Leg("a", 2, OUTPUT, 2)], rng
+            ),
+            "R": ot.random_result([Leg("a", 1, INPUT, 2)], rng),
+            "Q": ot.random_result([Leg("a", 1, INPUT, 2), Leg("a", 2, INPUT, 2)], rng),
+        }
+        for bind in (resolve_binding, ot.probability):
+            with pytest.raises(ot.SignatureMismatchError) as raised:
+                bind(frag, binding)
+            assert str(raised.value) == message
 
 
 @settings(max_examples=30, deadline=None, database=None)

@@ -1,7 +1,10 @@
 """Labeled-operator arithmetic: tensor products, partial trace/transpose,
 eigenvalues, random generators, and the file format."""
 
+import copy
 import itertools
+import json
+import pickle
 
 import numpy as np
 import pytest
@@ -73,6 +76,21 @@ class TestConstruction:
             op.tol = 0.5
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda op: pickle.loads(pickle.dumps(op))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_rebuild_through_the_constructor(self, rng, clone):
+        op = ot.random_physical_transformation(
+            [Leg("a", 1, INPUT, 2)], [Leg("b", 2, OUTPUT, 3)], rng
+        )
+        report = ot.is_physical(op)
+        again = clone(op)
+        assert again is not op and again.legs == op.legs
+        assert np.array_equal(again.matrix, op.matrix) and not again.matrix.flags.writeable
+        assert not hasattr(again, "_margins")  # the cached margins stay behind
+        assert ot.is_physical(again) == report
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -316,6 +334,13 @@ class TestSerialization:
         ot.save(op, tmp_path / "op.json")
         again = ot.load(tmp_path / "op.json")
         assert np.array_equal(again.matrix, op.matrix)
+
+    @pytest.mark.parametrize("bad", [2.9, True, "2"])
+    def test_non_integer_dim_rejected(self, bad):
+        payload = ot.to_json_dict(op_out("a", 1, P0))
+        payload["labels"][0]["dim"] = bad
+        with pytest.raises(ValueError, match=f"field 'dim' must be an integer, got {bad!r}"):
+            ot.loads(json.dumps(payload))
 
     def test_bad_label_id_rejected(self):
         payload = ot.to_json_dict(op_out("a", 1, P0))

@@ -9,7 +9,7 @@ import pytest
 import optensor as ot
 from optensor import LabeledOperator, Leg, WireLabel
 from optensor.notation import INPUT, OUTPUT
-from conftest import count_bind_plan_check, inout_tensor, random_circuit
+from conftest import count_bind_plan_check, count_calls, inout_tensor, random_circuit
 
 PHI_PLUS = 0.5 * np.outer([1, 0, 0, 1], [1, 0, 0, 1])
 
@@ -232,6 +232,21 @@ class TestCompleteSets:
             ot.operator_from_kraus(kraus[2:], legs_in, legs_out),
         ]
         assert ot.is_complete_set(elements, eps=1e-10)
+
+    def test_reads_the_margin_that_is_physical_solved(self, rng, monkeypatch):
+        from optensor import physicality
+
+        kraus = ot.random_kraus_set(2, 2, rng, n_kraus=4, trace_preserving=True)
+        legs_in, legs_out = [Leg("a", 1, INPUT, 2)], [Leg("b", 2, OUTPUT, 2)]
+        elements = [
+            ot.operator_from_kraus(kraus[:2], legs_in, legs_out),
+            ot.operator_from_kraus(kraus[2:], legs_in, legs_out),
+        ]
+        for op in elements:
+            ot.is_physical(op)
+        solves = count_calls(monkeypatch, physicality, "min_eigenvalue")
+        assert ot.is_complete_set(elements, eps=1e-10)
+        assert solves == []
 
     def test_double_swap_is_not_complete(self):
         swap = ot.identity_transformation(WireLabel("a", 1), WireLabel("a", 2), 2)

@@ -1,9 +1,11 @@
-"""The README's code runs as written: the library quick tour and the CLI worked example."""
+"""The README's code runs as written: the library quick tour, the CLI worked
+example and the circuit DSL example."""
 
 import re
 import shlex
 from pathlib import Path
 
+from optensor import parse_circuit
 from optensor.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -39,3 +41,12 @@ def test_worked_example_prints_probability_one(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "probability_tensor: 1.000000000000" in lines
     assert "probability_foliation: 1.000000000000" in lines
+
+
+def test_dsl_example_parses_with_and_without_spaces_between_operations():
+    section = README.read_text(encoding="utf-8").split("## File formats\n", 1)[1]
+    (example,) = re.findall(r"^```\n(.*?)^```", section.split("\n## ", 1)[0], re.M | re.S)
+    packed = re.sub(r"\}\s+", "}", example.strip())
+    assert packed != example.strip()
+    ops = parse_circuit(example).ops
+    assert len(ops) == 6 and parse_circuit(packed).ops == ops
