@@ -39,7 +39,6 @@ from .errors import (
     ConditioningWarning,
     DimMismatchError,
     DuplicateLabelError,
-    LabelArityError,
     NonCircuitTermError,
     NonHermitianError,
     NonUnitaryError,

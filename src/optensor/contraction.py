@@ -2,7 +2,8 @@
 
 A repeated wire id joins an output leg to an input leg; contracting it
 multiplies the two operators in that subsystem and partial-traces it out.
-Execution follows a pairwise plan; any valid plan yields the same result.
+A raw operand list is validated as a circuit fragment.  Execution follows
+a pairwise plan; any valid plan yields the same result.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimMismatchError, LabelArityError
+from .binding import bind_names
+from .errors import NotApplicableError
+from .notation import INPUT, InternalWire, OperationDecl, WireLabel, fragment_from_ops
 from .operators import LabeledOperator, Leg, scalar_operator
 
 
@@ -84,36 +87,23 @@ class ContractionPlan:
         return "\n".join(lines)
 
 
-def _operand_tables(
-    ops: Sequence[LabeledOperator],
-) -> tuple[tuple[tuple[int, ...], ...], tuple[WireTypes, ...]]:
-    """Each operand's wire ids and wire types, in leg order."""
-    return tuple(op.ids for op in ops), tuple(WireTypes.of(op.legs) for op in ops)
+def _raw_fragment(ops: Sequence[LabeledOperator]) -> tuple[list, list, tuple[InternalWire, ...]]:
+    """Validate ``ops`` as a fragment: each operand's wire ids and wire types,
+    in leg order, and the fragment's internal wires.
 
-
-def _wire_ends(ops: Sequence[LabeledOperator]) -> dict[int, list[int]]:
-    """Map each wire id to the indices of the operands carrying it.
-
-    It validates a raw operand list, which no fragment has checked: a wire id
-    joins at most two legs, one output and one input, of one type and dimension.
+    Operation ``#i`` has ``ops[i]``'s input and output legs as its ports, in
+    leg order, and is bound to ``ops[i]``: :func:`notation.fragment_from_ops`
+    checks the wiring and :func:`binding.bind_names` the wire dimensions.
     """
-    ends: dict[int, list[int]] = {}
-    first: dict[int, Leg] = {}  # wire id -> the leg that first carries it
+    decls = []
     for i, op in enumerate(ops):
+        ins, outs = [], []
         for leg in op.legs:
-            holders = ends.setdefault(leg.id, [])
-            other = first.setdefault(leg.id, leg)
-            if len(holders) == 2:
-                raise LabelArityError(f"wire id {leg.id} appears more than twice")
-            if holders and other.role == leg.role:
-                raise LabelArityError(f"wire id {leg.id} appears twice as {leg.role}")
-            if holders and (other.sys != leg.sys or other.dim != leg.dim):
-                raise DimMismatchError(
-                    f"wire id {leg.id} joins {other.sys}(dim {other.dim}) "
-                    f"to {leg.sys}(dim {leg.dim})"
-                )
-            holders.append(i)
-    return ends
+            (ins if leg.role == INPUT else outs).append(WireLabel(leg.sys, leg.id))
+        decls.append(OperationDecl(f"#{i}", tuple(ins), tuple(outs)))
+    frag = fragment_from_ops(decls)
+    _, wires, _ = bind_names(frag, {decl.name: op for decl, op in zip(decls, ops)})
+    return wires, [WireTypes.of(op.legs) for op in ops], frag.internal_wires
 
 
 def contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
@@ -242,16 +232,16 @@ def plan_contraction(ops: Sequence[LabeledOperator]) -> ContractionPlan:
     is the minimum over all live sharing pairs.  Planning costs O(E log E),
     where E is the number of wire-adjacent operand pairs pushed.
     """
-    return _plan_greedy(*_operand_tables(ops), _wire_ends(ops))
+    return _plan_greedy(*_raw_fragment(ops))
 
 
 def _plan_greedy(
-    wires: Sequence[tuple[int, ...]], types: Sequence[WireTypes], ends: dict[int, list[int]]
+    wires: Sequence[tuple[int, ...]], types: Sequence[WireTypes], internal: Sequence[InternalWire]
 ) -> ContractionPlan:
     """:func:`plan_contraction` on validated wiring, given as tables: each
-    operand's wire ids and wire types in leg order, and ``ends``, which maps
-    each wire id to the indices of the operands it joins (open wires may be
-    left out)."""
+    operand's wire ids and wire types in leg order, and the internal wires
+    of its fragment, which join operands by their indices."""
+    ends = {w.label.id: [w.producer, w.consumer] for w in internal}  # the two live operands
     builder = _PlanBuilder(wires, types)
     wires_of, dims_of, size_of = builder.wires_of, builder.dims_of, builder.size_of
 
@@ -263,7 +253,7 @@ def _plan_greedy(
                 shared *= d
         return size_of[i] * size_of[j] // (shared * shared), i, j
 
-    pairs = {(min(holders), max(holders)) for holders in ends.values() if len(holders) == 2}
+    pairs = {(min(holders), max(holders)) for holders in ends.values()}
     heap = [candidate(i, j) for i, j in pairs]
     heapq.heapify(heap)
     while heap:
@@ -273,8 +263,8 @@ def _plan_greedy(
         k = builder.contract(i, j)
         neighbours = set()
         for w in wires_of[k]:
-            holders = ends.get(w, ())
-            if len(holders) == 2:  # the wire still joins k to another live operand
+            holders = ends.get(w)
+            if holders:  # the wire still joins k to another live operand
                 m = holders[1] if holders[0] in (i, j) else holders[0]
                 ends[w] = [m, k]
                 neighbours.add(m)
@@ -289,8 +279,8 @@ def _plan_greedy(
 
 def plan_left_to_right(ops: Sequence[LabeledOperator]) -> ContractionPlan:
     """Sequential fold plan, used to cross-check plan independence."""
-    _wire_ends(ops)
-    builder = _PlanBuilder(*_operand_tables(ops))
+    wires, types, _ = _raw_fragment(ops)
+    builder = _PlanBuilder(wires, types)
     acc = 0
     for j in range(1, len(ops)):
         acc = builder.contract(acc, j)
@@ -310,7 +300,8 @@ def execute_plan(ops: Sequence[LabeledOperator], plan: ContractionPlan) -> Label
     Raises ValueError unless ``ops`` carry the wire ids and wire types the
     plan was built for; the steps are :func:`_run_plan`'s.
     """
-    if _operand_tables(ops) != (plan.operand_wires, plan.operand_types):
+    tables = tuple(op.ids for op in ops), tuple(WireTypes.of(op.legs) for op in ops)
+    if tables != (plan.operand_wires, plan.operand_types):
         raise ValueError("plan was built for operands with other legs")
     return _run_plan([op.tensor() for op in ops], plan)
 
@@ -328,17 +319,24 @@ def _run_plan(tensors: list[np.ndarray], plan: ContractionPlan) -> LabeledOperat
     exact arithmetic.  The result is built once with the full constructor
     check, relative to its largest entry above unit scale, so a
     :class:`NonHermitianError` reports the final deviation; its legs are
-    ordered as they first appear in the operand scan.
+    ordered as they first appear in the operand scan.  A plan whose
+    intermediates cannot be allocated raises :class:`NotApplicableError`.
     """
     if not tensors:
         return scalar_operator(1.0)
     tensors = list(tensors)
-    for left, right, _, _, _, recipe in plan.steps:
-        # produced operands are numbered on from the inputs, in step order
-        tensors.append(_run_step(recipe, tensors[left], tensors[right]))
-        tensors[left] = tensors[right] = None
-    dim = math.prod(leg.dim for leg in plan.result_legs)
-    return LabeledOperator(plan.result_legs, tensors[-1].reshape(dim, dim))
+    try:
+        for left, right, _, _, _, recipe in plan.steps:
+            # produced operands are numbered on from the inputs, in step order
+            tensors.append(_run_step(recipe, tensors[left], tensors[right]))
+            tensors[left] = tensors[right] = None
+        dim = math.prod(leg.dim for leg in plan.result_legs)
+        return LabeledOperator(plan.result_legs, tensors[-1].reshape(dim, dim))
+    except MemoryError as exc:
+        raise NotApplicableError(
+            f"the contraction plan's peak intermediate has dimension {plan.peak_dim}, "
+            f"{16 * plan.peak_dim**2} bytes of complex128, which cannot be allocated"
+        ) from exc
 
 
 def circuit_trace(ops: Sequence[LabeledOperator]) -> LabeledOperator:

@@ -213,7 +213,7 @@ def _fiducial_stack(
     stack = np.stack([op.matrix for op in family])
     dim = stack.shape[-1]
     if dim != leg.dim:
-        if probing:  # the message circuit_trace gives for the probing circuit
+        if probing:  # the message bind_names gives for the probing circuit
             raise DimMismatchError(
                 f"wire id {leg.id} joins {leg.sys}(dim {leg.dim}) to {leg.sys}(dim {dim})"
             )

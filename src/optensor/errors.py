@@ -44,12 +44,8 @@ class NonHermitianError(ValueError):
     """Matrix deviates from Hermiticity beyond tolerance."""
 
 
-class LabelArityError(ValueError):
-    """A wire id appears with incompatible roles or more than twice."""
-
-
 class DimMismatchError(ValueError):
-    """Two legs joined by a wire disagree in dimension or type."""
+    """Dimensions disagree: the two ends of a wire, or a matrix and its legs."""
 
 
 class SignatureMismatchError(ValueError):

@@ -72,9 +72,10 @@ class _BoundFragment:
     @functools.cached_property
     def plan(self):
         """The greedy contraction plan of the wire tables, joined by the fragment's wires."""
-        ends = {w.label.id: [w.producer, w.consumer] for w in self.frag.internal_wires}
         types = {name: WireTypes.of(op.legs) for name, op in self.operators.items()}
-        return _plan_greedy(self.wires, [types[decl.name] for decl in self.frag.ops], ends)
+        return _plan_greedy(
+            self.wires, [types[decl.name] for decl in self.frag.ops], self.frag.internal_wires
+        )
 
     def trace(self) -> LabeledOperator:
         """The contracted operators, on the open legs in operand-scan order (1x1 if none)."""

@@ -446,15 +446,22 @@ def _json_int(entry: dict, field: str) -> int:
     return value
 
 
+def _json_wire_id(entry: dict) -> int:
+    """The wire id of ``entry["id"]``, which must be ``entry["type"]`` then ASCII digits."""
+    sys_name, id_text = entry["type"], entry["id"]
+    digits = id_text[len(sys_name):] if type(id_text) is str and id_text.startswith(sys_name) else ""
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(
+            f"field 'id' must be the type {sys_name!r} followed by ASCII digits, got {id_text!r}"
+        )
+    return int(digits)
+
+
 def from_json_dict(data: dict) -> LabeledOperator:
-    legs = []
-    for entry in data["labels"]:
-        sys_name = entry["type"]
-        id_text = entry["id"]
-        if not id_text.startswith(sys_name) or not id_text[len(sys_name):].isdigit():
-            raise ValueError(f"label id {id_text!r} does not match type {sys_name!r}")
-        wire_id = int(id_text[len(sys_name):])
-        legs.append(Leg(sys_name, wire_id, entry["role"], _json_int(entry, "dim")))
+    legs = [
+        Leg(entry["type"], _json_wire_id(entry), entry["role"], _json_int(entry, "dim"))
+        for entry in data["labels"]
+    ]
     dim = math.prod(l.dim for l in legs)
     flat = np.array([complex(re, im) for re, im in data["matrix"]])
     if flat.size != dim * dim:

@@ -4,7 +4,10 @@ counters, and reference kernels that several test modules compare against."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -304,6 +307,44 @@ def scrambled(frag, rng: np.random.Generator):
 
     ops = [OperationDecl(op.name, rename(op.inputs), rename(op.outputs)) for op in frag.ops]
     return fragment_from_ops(ops[i] for i in rng.permutation(len(ops)))
+
+
+# Prepended to a child's code: import optensor, then cap the child's own
+# address space 256 MiB above what it has mapped.
+_CAP_PRELUDE = """\
+import resource, sys
+import numpy as np
+import optensor as ot
+import optensor.cli
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * resource.getpagesize()
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+soft = mapped + (256 << 20)
+if hard != resource.RLIM_INFINITY:
+    soft = min(soft, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+"""
+
+capped_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="caps the address space through /proc and RLIMIT_AS"
+)
+
+
+def run_capped(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``argv`` in a child Python whose address space is capped.
+
+    A test of an allocation that cannot succeed runs only this way: the
+    child caps itself 256 MiB above what it has mapped once optensor is
+    imported, so the allocation fails in the child with at most that much
+    more in use.  BLAS runs one thread.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", _CAP_PRELUDE + code, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def count_calls(monkeypatch, module, name) -> list:

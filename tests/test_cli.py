@@ -10,7 +10,7 @@ import optensor as ot
 from optensor import Leg, WireLabel
 from optensor.cli import main
 from optensor.notation import INPUT, OUTPUT
-from conftest import count_bind_plan_check
+from conftest import capped_only, count_bind_plan_check, random_brickwork, run_capped
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 
@@ -288,6 +288,24 @@ class TestEval:
         assert result[2] == (
             f"error: the foliated state under policy 'earliest' needs {4**41} coefficients, "
             f"{16 * 4**41} bytes in two float64 buffers, which cannot be allocated\n"
+        )
+
+    @capped_only
+    def test_trace_plan_too_large_exit_65(self, tmp_path):
+        """A 12x12 brickwork whose greedy plan peaks at dimension 16384, 4 GiB."""
+        frag, binding = random_brickwork(np.random.default_rng(1), 12, 12)
+        (tmp_path / "brick.circ").write_text(f"{frag}\n")
+        for name, op in binding.items():
+            ot.save(op, tmp_path / f"{name}.json")
+        (tmp_path / "brick.txt").write_text("".join(f"{n} = {n}.json\n" for n in binding))
+        child = run_capped(
+            "sys.exit(optensor.cli.main(sys.argv[1:]))",
+            "eval", str(tmp_path / "brick.circ"), str(tmp_path / "brick.txt"),
+        )
+        assert_one_line_failure((child.returncode, child.stdout, child.stderr), 65)
+        assert child.stderr == (
+            f"error: the contraction plan's peak intermediate has dimension 16384, "
+            f"{16 * 16384**2} bytes of complex128, which cannot be allocated\n"
         )
 
 

@@ -12,6 +12,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 from conftest import (
+    capped_only,
     count_calls,
     mixed_circuits,
     pair_contract,
@@ -19,6 +20,7 @@ from conftest import (
     random_circuit,
     random_dag,
     random_open_fragment,
+    run_capped,
 )
 
 import optensor as ot
@@ -26,6 +28,7 @@ from optensor import (
     LabeledOperator,
     Leg,
     WireLabel,
+    binding as binding_module,
     contraction,
     evaluator,
     notation,
@@ -33,7 +36,7 @@ from optensor import (
 )
 from optensor.binding import resolve_binding
 from optensor.contraction import ContractionPlan, _run_step
-from optensor.errors import DimMismatchError, LabelArityError
+from optensor.errors import DimMismatchError, OneWireViolation, TypeMismatch
 from optensor.notation import INPUT, OUTPUT
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -100,16 +103,71 @@ def test_open_contraction_leaves_labels(rng):
     assert np.max(np.abs(composed.matrix - evolved)) < 1e-12
 
 
-def test_label_arity_errors():
-    with pytest.raises(ot.LabelArityError):
+def test_one_wire_violations():
+    with pytest.raises(ot.OneWireViolation):
         ot.circuit_trace([prep(1, P0), prep(1, P0)])
-    with pytest.raises(ot.LabelArityError):
+    with pytest.raises(ot.OneWireViolation):
         ot.circuit_trace([prep(1, P0), result(1, P0), result(1, P0)])
 
 
 def test_dim_mismatch():
     with pytest.raises(ot.DimMismatchError):
         ot.circuit_trace([prep(1, np.eye(2) / 2), result(1, np.eye(3) / 3)])
+
+
+def channel(in_id, out_id):
+    return ot.identity_transformation(WireLabel("a", in_id), WireLabel("a", out_id), 2)
+
+
+class TestRouteAgreement:
+    """Every raw-list route raises the error that ``parse_circuit`` raises on
+    the same wiring written as text, where operation ``Op<i>`` is operand ``#i``."""
+
+    @pytest.mark.parametrize(
+        "ops, text, error",
+        [
+            (
+                [prep(1, P0), result(1, P0), result(1, P0)],
+                "Op0^{a1} Op1_{a1} Op2_{a1}",
+                ot.OneWireViolation,
+            ),
+            ([prep(1, P0), prep(1, P0)], "Op0^{a1} Op1^{a1}", ot.OneWireViolation),
+            ([result(1, P0), result(1, P0)], "Op0_{a1} Op1_{a1}", ot.OneWireViolation),
+            ([prep(1, P0), result(1, P0, sys="b")], "Op0^{a1} Op1_{b1}", ot.TypeMismatch),
+            # without the loop check, two identity channels in a loop trace to 4.0
+            ([channel(1, 2), channel(2, 1)], "Op0_{a1}^{a2} Op1_{a2}^{a1}", ot.ClosedLoop),
+            (
+                [channel(1, 2), channel(2, 3), channel(3, 1)],
+                "Op0_{a1}^{a2} Op1_{a2}^{a3} Op2_{a3}^{a1}",
+                ot.ClosedLoop,
+            ),
+        ],
+    )
+    def test_miswiring_raises_the_parsers_error(self, ops, text, error):
+        with pytest.raises(error) as parsed:
+            ot.parse_circuit(text)
+        routes = [ot.plan_contraction, ot.plan_left_to_right, ot.circuit_trace]
+        if len(ops) == 2:
+            routes.append(lambda ops: ot.contract_pair(*ops))
+        for route in routes:
+            with pytest.raises(error) as caught:
+                route(ops)
+            assert type(caught.value) is type(parsed.value)
+            assert str(caught.value).replace("#", "Op") == str(parsed.value)
+
+    def test_dimension_mismatch_raises_the_binders_error(self):
+        ops = [prep(1, np.eye(2) / 2), result(1, np.eye(3) / 3)]
+        frag, binding = ot.parse_circuit("P^{a1} R_{a1}"), dict(zip("PR", ops))
+        routes = [
+            ot.plan_contraction, ot.plan_left_to_right, ot.circuit_trace,
+            lambda ops: ot.contract_pair(*ops),
+            lambda _: ot.probability(frag, binding),
+            lambda _: ot.fragment_operator(frag, binding),
+        ]
+        for route in routes:
+            with pytest.raises(ot.DimMismatchError) as caught:
+                route(ops)
+            assert str(caught.value) == "wire id 1 joins a(dim 2) to a(dim 3)"
 
 
 def test_transpose_through_trace_invariance(rng):
@@ -354,10 +412,10 @@ class TestPlanIdentity:
         [
             (
                 [prep(1, P0), result(1, P0), result(1, P0)],
-                ot.LabelArityError,
-                "wire id 1 appears more than twice",
+                ot.OneWireViolation,
+                "id 1 used 3 times (#0.output, #1.input, #2.input)",
             ),
-            ([prep(1, P0), prep(1, P0)], ot.LabelArityError, "wire id 1 appears twice as output"),
+            ([prep(1, P0), prep(1, P0)], ot.OneWireViolation, "id 1 appears twice as output (#0, #1)"),
             (
                 [prep(1, np.eye(2) / 2), result(1, np.eye(3) / 3)],
                 ot.DimMismatchError,
@@ -365,12 +423,12 @@ class TestPlanIdentity:
             ),
             (
                 [prep(1, P0), result(1, P0, sys="b")],
-                ot.DimMismatchError,
-                "wire id 1 joins a(dim 2) to b(dim 2)",
+                ot.TypeMismatch,
+                "id 1 typed both 'a' and 'b' (#0, #1)",
             ),
         ],
     )
-    def test_wiring_errors_unchanged(self, ops, error, message):
+    def test_wiring_errors(self, ops, error, message):
         for planner in (ot.plan_contraction, ot.plan_left_to_right):
             with pytest.raises(error) as caught:
                 planner(ops)
@@ -452,7 +510,8 @@ class TestPairKernel:
 # ---------------------------------------------------------------------------
 # Plan execution on raw tensors against the per-step-operator executor it
 # replaced.  Both references are kept verbatim apart from their names and
-# docstrings, and the lazy import of ``scalar_operator``.
+# docstrings, the lazy import of ``scalar_operator``, and the classes and
+# texts of the pair's wiring errors, which are now the fragment validator's.
 
 
 def _reference_contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
@@ -467,8 +526,10 @@ def _reference_contract_pair(a: LabeledOperator, b: LabeledOperator) -> LabeledO
     for i, j in shared:
         la, lb = a.legs[i], b.legs[j]
         if la.role == lb.role:
-            raise LabelArityError(f"wire id {la.id} appears twice as {la.role}")
-        if la.sys != lb.sys or la.dim != lb.dim:
+            raise OneWireViolation(f"id {la.id} appears twice as {la.role} (#0, #1)")
+        if la.sys != lb.sys:
+            raise TypeMismatch(f"id {la.id} typed both {la.sys!r} and {lb.sys!r} (#0, #1)")
+        if la.dim != lb.dim:
             raise DimMismatchError(
                 f"wire id {la.id} joins {la.sys}(dim {la.dim}) to {lb.sys}(dim {lb.dim})"
             )
@@ -540,6 +601,25 @@ class TestRawExecutor:
                     want = _reference_contract_pair(a, b)
                     assert_same_operator(ot.contract_pair(a, b), want, 1e-12)
 
+    @capped_only
+    def test_plan_that_cannot_be_allocated_is_not_applicable(self):
+        """24 disjoint qubit preparations: the plan's peak has dimension 2**24."""
+        child = run_capped(
+            "ops = [ot.LabeledOperator((ot.Leg('a', k, 'output', 2),), np.eye(2) / 2)\n"
+            "       for k in range(1, 25)]\n"
+            "try:\n"
+            "    ot.circuit_trace(ops)\n"
+            "except ot.NotApplicableError as exc:\n"
+            "    print(isinstance(exc.__cause__, MemoryError))\n"
+            "    print(exc)\n"
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines() == [
+            "True",
+            f"the contraction plan's peak intermediate has dimension {2**24}, "
+            f"{16 * 4**24} bytes of complex128, which cannot be allocated",
+        ]
+
     def test_non_hermitian_final_result_raises(self, rng):
         # operands built past the constructor check, as a numeric fault would
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -554,8 +634,8 @@ class TestRawExecutor:
     @pytest.mark.parametrize(
         "a, b, error, message",
         [
-            (prep(1, P0), prep(1, P0), LabelArityError, "wire id 1 appears twice as output"),
-            (result(1, P0), result(1, P0), LabelArityError, "wire id 1 appears twice as input"),
+            (prep(1, P0), prep(1, P0), OneWireViolation, "id 1 appears twice as output (#0, #1)"),
+            (result(1, P0), result(1, P0), OneWireViolation, "id 1 appears twice as input (#0, #1)"),
             (
                 prep(1, np.eye(2) / 2),
                 result(1, np.eye(3) / 3),
@@ -565,12 +645,12 @@ class TestRawExecutor:
             (
                 prep(1, P0),
                 result(1, P0, sys="b"),
-                DimMismatchError,
-                "wire id 1 joins a(dim 2) to b(dim 2)",
+                TypeMismatch,
+                "id 1 typed both 'a' and 'b' (#0, #1)",
             ),
         ],
     )
-    def test_contract_pair_wiring_errors_unchanged(self, a, b, error, message):
+    def test_contract_pair_wiring_errors(self, a, b, error, message):
         for contract in (ot.contract_pair, _reference_contract_pair):
             with pytest.raises(error) as caught:
                 contract(a, b)
@@ -679,25 +759,31 @@ class TestCounts:
             assert len(gemms) == len(plan.steps)
         assert tensordots == []
 
-    def test_one_graph_pass_per_fragment_and_no_wiring_check_after_binding(self, monkeypatch):
+    def test_one_graph_pass_per_fragment_and_per_raw_list(self, monkeypatch):
         """Parsing keeps the fragment's DAG order for foliation and causal
-        structure; a bound fragment checks only wire dimensions, so only a
-        raw operand list has its wiring checked by ``_wire_ends``."""
+        structure, and a bound fragment checks only wire dimensions.  A raw
+        operand list is validated as one fragment, by one
+        ``fragment_from_ops`` (one ``_dag_order``) and one ``bind_names``:
+        no other wiring pass exists."""
         orders = count_calls(monkeypatch, notation, "_dag_order")
-        ends = count_calls(monkeypatch, contraction, "_wire_ends")
+        frags = count_calls(monkeypatch, notation, "fragment_from_ops")
+        binds = count_calls(monkeypatch, binding_module, "bind_names")
+        assert not hasattr(contraction, "_wire_ends")
         for n_ops in (500, 1000, 2000, 4000):
             frag, binding = random_dag(np.random.default_rng(7), n_ops, 6)
-            orders.clear()
-            ends.clear()
+            for counts in (orders, frags, binds):
+                counts.clear()
             parsed = ot.parse_circuit(str(frag))
             ot.foliate(parsed, "latest")
             ot.causal_structure(parsed)
             ot.probability(parsed, binding, check_physical=False)
             ot.probability_foliated(parsed, binding, check_physical=False)  # foliates earliest
             ot.fragment_operator(parsed, binding)
-            assert (len(orders), len(ends)) == (1, 0)
-            ot.circuit_trace(resolve_binding(parsed, binding))
-            assert (len(orders), len(ends)) == (1, 1)
+            assert (len(orders), len(frags), len(binds)) == (1, 1, 3)
+            ops = resolve_binding(parsed, binding)
+            for n_raw, run in enumerate((ot.circuit_trace, ot.plan_left_to_right), start=1):
+                run(ops)
+                assert (len(orders), len(frags), len(binds)) == (1 + n_raw, 1 + n_raw, 3 + n_raw)
 
     def test_bind_by_name_and_one_eigensolve_per_operator(self, monkeypatch):
         """A bind builds no leg and no operator: a bound fragment holds only

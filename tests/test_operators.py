@@ -347,3 +347,14 @@ class TestSerialization:
         payload["labels"][0]["id"] = "b1"
         with pytest.raises(ValueError):
             ot.from_json_dict(payload)
+
+    # an Arabic-Indic one passes str.isdigit and int(), a superscript two
+    # passes str.isdigit only, and an integer is not a string
+    @pytest.mark.parametrize("bad", ["a\u0661", "a\u00b2", 1])
+    def test_label_id_needs_ascii_digits(self, bad):
+        payload = ot.to_json_dict(op_out("a", 1, P0))
+        payload["labels"][0]["id"] = bad
+        message = f"field 'id' must be the type 'a' followed by ASCII digits, got {bad!r}"
+        with pytest.raises(ValueError) as caught:
+            ot.loads(json.dumps(payload))
+        assert str(caught.value) == message
