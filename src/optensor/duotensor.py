@@ -30,7 +30,7 @@ from .errors import (
 )
 from .notation import INPUT, OUTPUT, SystemType, WireLabel
 from .operators import TOL, Leg, LabeledOperator, _beyond_tol, identity_transformation
-from .operators import _json_int, from_json_dict, to_json_dict
+from .operators import _json_int, _json_numbers, _json_str, from_json_dict, to_json_dict
 from .physicality import is_physical
 
 BLACK = "black"
@@ -227,12 +227,17 @@ def _per_leg(data: np.ndarray, matrices: Sequence[np.ndarray | None]) -> np.ndar
     """Apply ``matrices[m]`` to axis ``m`` of ``data``; ``None`` leaves that axis alone.
 
     The fiducial side acts on each leg on its own, so every conversion is
-    one ``tensordot`` per leg.
+    one ``np.matmul`` per leg: the matrix times the data viewed as
+    ``(pre, K, post)``, the axes before and after the leg each fused into
+    one, which leaves the result in axis order with no transpose.
     """
+    shape = list(data.shape)
     for m, matrix in enumerate(matrices):
         if matrix is not None:
-            data = np.moveaxis(np.tensordot(matrix, data, axes=([1], [m])), 0, m)
-    return data
+            pre, post = math.prod(shape[:m]), math.prod(shape[m + 1:])
+            data = np.matmul(matrix, data.reshape(pre, shape[m], post))
+            shape[m] = matrix.shape[0]
+    return data.reshape(shape)
 
 
 def _fiducial_overlaps(op: LabeledOperator, stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -253,7 +258,8 @@ def _fiducial_overlaps(op: LabeledOperator, stacks: Sequence[np.ndarray]) -> np.
         raise NonHermitianError(
             f"fiducial overlaps have imaginary residue {residue:.3e} beyond tol={TOL:.1e}"
         )
-    return overlaps.real
+    # a contiguous copy: matmul falls back from BLAS on the strided .real view
+    return overlaps.real.copy()
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -382,11 +388,15 @@ def duotensor_to_json_dict(dt: Duotensor) -> dict:
 
 def duotensor_from_json_dict(data: dict) -> Duotensor:
     indices = tuple(
-        DuoIndex(e["type"], _json_int(e, "id"), e["role"], _json_int(e, "dim"), e["color"])
+        DuoIndex(
+            _json_str(e, "type"), _json_int(e, "id"), _json_str(e, "role"),
+            _json_int(e, "dim"), _json_str(e, "color"),
+        )
         for e in data["indices"]
     )
     shape = tuple(ix.k for ix in indices)
-    return Duotensor(indices, np.array(data["data"], dtype=float).reshape(shape))
+    values = _json_numbers(data["data"], "data")
+    return Duotensor(indices, np.array(values, dtype=float).reshape(shape))
 
 
 def dump_fiducials(fset: FiducialSet, directory) -> None:
@@ -411,7 +421,7 @@ def dump_fiducials(fset: FiducialSet, directory) -> None:
 def load_fiducials(directory) -> FiducialSet:
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    sys_type = SystemType(manifest["type"], _json_int(manifest, "dim"))
+    sys_type = SystemType(_json_str(manifest, "type"), _json_int(manifest, "dim"))
     preps = [
         from_json_dict(json.loads((directory / name).read_text()))
         for name in manifest["preps"]
@@ -421,7 +431,8 @@ def load_fiducials(directory) -> FiducialSet:
         for name in manifest["results"]
     ]
     fset = make_fiducials(sys_type, preps, results)
-    if np.max(np.abs(fset.metric - np.array(manifest["metric"]))) > 1e-10:
+    stored = [_json_numbers(row, "metric") for row in manifest["metric"]]
+    if np.max(np.abs(fset.metric - np.array(stored))) > 1e-10:
         raise SingularMetricError("stored metric disagrees with recomputed metric")
     return fset
 

@@ -446,9 +446,25 @@ def _json_int(entry: dict, field: str) -> int:
     return value
 
 
+def _json_str(entry: dict, field: str) -> str:
+    """``entry[field]``, which must be a JSON string."""
+    value = entry[field]
+    if type(value) is not str:
+        raise ValueError(f"field {field!r} must be a string, got {value!r}")
+    return value
+
+
+def _json_numbers(values: list, field: str) -> list:
+    """``values``, each of which must be a JSON number: not a bool, string or list."""
+    for value in values:
+        if type(value) not in (int, float):
+            raise ValueError(f"field {field!r} entries must be numbers, got {value!r}")
+    return values
+
+
 def _json_wire_id(entry: dict) -> int:
     """The wire id of ``entry["id"]``, which must be ``entry["type"]`` then ASCII digits."""
-    sys_name, id_text = entry["type"], entry["id"]
+    sys_name, id_text = _json_str(entry, "type"), entry["id"]
     digits = id_text[len(sys_name):] if type(id_text) is str and id_text.startswith(sys_name) else ""
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(
@@ -459,11 +475,14 @@ def _json_wire_id(entry: dict) -> int:
 
 def from_json_dict(data: dict) -> LabeledOperator:
     legs = [
-        Leg(entry["type"], _json_wire_id(entry), entry["role"], _json_int(entry, "dim"))
+        Leg(_json_str(entry, "type"), _json_wire_id(entry), _json_str(entry, "role"),
+            _json_int(entry, "dim"))
         for entry in data["labels"]
     ]
     dim = math.prod(l.dim for l in legs)
-    flat = np.array([complex(re, im) for re, im in data["matrix"]])
+    pairs = data["matrix"]
+    _json_numbers([x for pair in pairs for x in pair], "matrix")
+    flat = np.array([complex(re, im) for re, im in pairs])
     if flat.size != dim * dim:
         raise DimMismatchError(f"matrix has {flat.size} entries, expected {dim * dim}")
     return LabeledOperator(tuple(legs), flat.reshape(dim, dim))

@@ -348,7 +348,7 @@ def run_capped(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 
 def count_calls(monkeypatch, module, name) -> list:
-    """Count calls of ``module.name`` made through any optensor namespace."""
+    """Count calls of ``module.name`` made through ``module`` or any optensor namespace."""
     original = getattr(module, name)
     calls = []
 
@@ -356,6 +356,7 @@ def count_calls(monkeypatch, module, name) -> list:
         calls.append(args)
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(module, name, counting)
     for held in list(sys.modules.values()):
         if held.__name__.startswith("optensor") and getattr(held, name, None) is original:
             monkeypatch.setattr(held, name, counting)

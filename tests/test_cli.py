@@ -631,6 +631,38 @@ class TestFileErrors:
             f"error: bad {kind} file bad.json: field 'dim' must be an integer, got {bad!r}\n"
         )
 
+    @pytest.mark.parametrize(
+        "command, source, kind, place, bad, problem",
+        [
+            ("physical", "prep.json", "operator", ("labels", "type"), 1, "must be a string, got 1"),
+            ("physical", "prep.json", "operator", ("labels", "role"), 1, "must be a string, got 1"),
+            ("physical", "prep.json", "operator", ("matrix",), [True, False],
+             "entries must be numbers, got True"),
+            ("reconstruct", "prep.duo.json", "duotensor", ("indices", "type"), 7,
+             "must be a string, got 7"),
+            ("reconstruct", "prep.duo.json", "duotensor", ("indices", "role"), 7,
+             "must be a string, got 7"),
+            ("reconstruct", "prep.duo.json", "duotensor", ("indices", "color"), 7,
+             "must be a string, got 7"),
+            ("reconstruct", "prep.duo.json", "duotensor", ("data",), "0.25",
+             "entries must be numbers, got '0.25'"),
+        ],
+    )
+    def test_wrongly_typed_json_field_exit_65(
+        self, capsys, command, source, kind, place, bad, problem
+    ):
+        data = json.loads(Path(source).read_text())
+        if len(place) == 2:
+            data[place[0]][0][place[1]] = bad
+        else:
+            data[place[0]][0] = bad
+        Path("bad.json").write_text(json.dumps(data))
+        result = run(capsys, command, "bad.json")
+        assert_one_line_failure(result, 65)
+        assert result[2] == (
+            f"error: bad {kind} file bad.json: field {place[-1]!r} {problem}\n"
+        )
+
     def test_malformed_operator_in_binding_exit_65(self, capsys):
         Path("prep.json").write_text("{not json")
         result = run(capsys, "eval", "pair.circ", "binding.txt")

@@ -1,6 +1,7 @@
 """Fiducial sets, the hopping metric, decomposition, and dot conversion."""
 
 import copy
+import json
 import re
 
 import numpy as np
@@ -284,6 +285,29 @@ class TestSerialization:
         for a, b in zip(again.preps, qubit_fiducials.preps):
             assert np.array_equal(a.matrix, b.matrix)
 
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("type", 1, "field 'type' must be a string, got 1"),
+            ("dim", 2.9, "field 'dim' must be an integer, got 2.9"),
+            ("metric", "0.5", "field 'metric' entries must be numbers, got '0.5'"),
+        ],
+    )
+    def test_manifest_with_a_wrongly_typed_field_rejected(
+        self, tmp_path, qubit_fiducials, field, bad, message
+    ):
+        ot.dump_fiducials(qubit_fiducials, tmp_path / "fid")
+        path = tmp_path / "fid" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if field == "metric":
+            manifest["metric"][0][0] = bad
+        else:
+            manifest[field] = bad
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as caught:
+            ot.load_fiducials(tmp_path / "fid")
+        assert str(caught.value) == message
+
     def test_duotensor_json_round_trip(self, rng):
         from optensor.duotensor import duotensor_from_json_dict, duotensor_to_json_dict
 
@@ -305,7 +329,8 @@ class TestSerialization:
             (key, bad, f"field {key!r} must be an integer, got {bad!r}")
             for key in ("id", "dim")
             for bad in (2.9, True, "2")
-        ],
+        ]
+        + [(key, 7, f"field {key!r} must be a string, got 7") for key in ("type", "role", "color")],
     )
     def test_duotensor_json_with_a_bad_index_rejected(self, key, value, message):
         from optensor.duotensor import duotensor_from_json_dict, duotensor_to_json_dict
@@ -315,6 +340,17 @@ class TestSerialization:
         data["indices"][0][key] = value
         with pytest.raises(ValueError, match=re.escape(message)):
             duotensor_from_json_dict(data)
+
+    @pytest.mark.parametrize("bad", ["0.25", True, [0.25]])
+    def test_duotensor_json_with_a_non_number_entry_rejected(self, bad):
+        from optensor.duotensor import duotensor_from_json_dict, duotensor_to_json_dict
+
+        dt = ot.Duotensor((ot.DuoIndex("a", 1, INPUT, 2, WHITE),), np.zeros(4))
+        data = duotensor_to_json_dict(dt)
+        data["data"][0] = bad
+        with pytest.raises(ValueError) as caught:
+            duotensor_from_json_dict(data)
+        assert str(caught.value) == f"field 'data' entries must be numbers, got {bad!r}"
 
 
 def test_fiducial_set_deepcopies():

@@ -342,6 +342,25 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"field 'dim' must be an integer, got {bad!r}"):
             ot.loads(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("type", 1, "field 'type' must be a string, got 1"),
+            ("role", 1, "field 'role' must be a string, got 1"),
+            ("matrix", [True, False], "field 'matrix' entries must be numbers, got True"),
+            ("matrix", ["0.25", 0], "field 'matrix' entries must be numbers, got '0.25'"),
+        ],
+    )
+    def test_non_string_label_or_non_number_entry_rejected(self, field, bad, message):
+        payload = ot.to_json_dict(op_out("a", 1, P0))
+        if field == "matrix":
+            payload["matrix"][0] = bad
+        else:
+            payload["labels"][0][field] = bad
+        with pytest.raises(ValueError) as caught:
+            ot.loads(json.dumps(payload))
+        assert str(caught.value) == message
+
     def test_bad_label_id_rejected(self):
         payload = ot.to_json_dict(op_out("a", 1, P0))
         payload["labels"][0]["id"] = "b1"

@@ -5,16 +5,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import optensor as ot
-from optensor import Leg, SystemType, WireLabel, tomography
+from optensor import Leg, SystemType, WireLabel, evaluator, tomography
 from optensor.cli import main
 from optensor.contraction import circuit_trace
-from optensor.duotensor import _fiducial_stack
+from optensor.duotensor import _fiducial_stack, _per_leg
 from optensor.notation import INPUT, OUTPUT
 from optensor.physicality import _haar_batch
-from optensor.tomography import _stream_states
 from conftest import SIGNATURES, count_calls, inout_tensor, signature_op
 
 
@@ -118,7 +116,7 @@ class TestSampledReconstruction:
         box = ot.SampledBlackBox(hidden, shots=1000, seed=3)
         a = box.probability((1, 2), fsets)
         b = box.probability((1, 2), fsets)
-        assert a == b  # per-setting stream, not a shared cursor
+        assert a == b  # one memoized array, not a shared cursor
 
     def test_error_decreases_with_shots(self, fsets):
         hidden = qubit_channel(seed=9)
@@ -226,7 +224,7 @@ class TestProbeOracle:
 
 
 def test_cli_sampled_stdout_pinned(tmp_path, capsys):
-    """Seeded CLI tomography prints exactly what the per-setting probe printed."""
+    """Seeded CLI tomography prints the same bytes: one draw from default_rng(3)."""
     g = 0.3
     kraus = [np.array([[1, 0], [0, np.sqrt(1 - g)]]), np.array([[0, np.sqrt(g)], [0, 0]])]
     chan = ot.operator_from_kraus(kraus, [Leg("a", 1, INPUT, 2)], [Leg("a", 2, OUTPUT, 2)])
@@ -234,41 +232,83 @@ def test_cli_sampled_stdout_pinned(tmp_path, capsys):
     argv = ["tomography", str(tmp_path / "damping.json"), "--shots", "10000", "--seed", "3"]
     assert main(argv + ["--format", "json"]) == 0
     assert capsys.readouterr().out == (
-        '{\n  "shots": 10000,\n  "seed": 3,\n  "max_entry_error": "9.340904667108e-03"\n}\n'
+        '{\n  "shots": 10000,\n  "seed": 3,\n  "max_entry_error": "2.190964399528e-02"\n}\n'
     )
 
 
-# ---------------------------------------------------------------------------
-# Per-setting sampler reference: one default_rng per setting, the body of
-# SampledBlackBox.probability before the streams were seeded in one batch
-
-
-def _reference_sampled_probe(box, fsets):
-    exact = ot.probe(ot.ExactBlackBox(box.hidden), fsets).data
-    data = np.empty(exact.shape)
-    for setting in np.ndindex(*exact.shape):
-        p = min(1.0, max(0.0, float(exact[setting])))
-        rng = np.random.default_rng((box.seed,) + tuple(setting))
-        data[setting] = float(rng.binomial(box.shots, p)) / float(box.shots)
-    return data
-
-
 SAMPLER_SEEDS = [0, 3, 2**31 - 1, 2**32, 2**64 + 5]
+CHANNEL_SIGNATURES = [(("a",), ("a",)), (("a", "a"), ("a", "a")), (("b",), ("b",))]
+
+
+class Wrapping:  # as a foreign box would, it asks the inner box per setting
+    def __init__(self, box):
+        self.box = box
+
+    @property
+    def signature(self):
+        return self.box.signature
+
+    def probability(self, setting, fsets):
+        return self.box.probability(setting, fsets)
 
 
 class TestSampledProbeOracle:
     @pytest.mark.parametrize("ins, outs", SIGNATURES)
-    def test_matches_per_setting_streams(self, ins, outs):
-        # (("a", "a"), ("a", "a")) makes 5 entropy words, past the 4-word pool
+    def test_one_seed_gives_one_array(self, ins, outs):
         op = signature_op(ins, outs, seed=len(ins) * 10 + len(outs))
         fsets = ot.default_fiducials_for(op)
         for seed in SAMPLER_SEEDS:
             for shots in (100, 10**6):
-                box = ot.SampledBlackBox(op, shots, seed)
-                black = ot.probe(box, fsets).data
-                assert np.array_equal(black, _reference_sampled_probe(box, fsets))
+                black = ot.probe(ot.SampledBlackBox(op, shots, seed), fsets).data
+                again = ot.probe(ot.SampledBlackBox(op, shots, seed), fsets).data
+                assert np.array_equal(black, again)
+                assert np.array_equal(np.round(black * shots) / shots, black)
                 setting = (0,) * len(op.legs)
+                box = ot.SampledBlackBox(op, shots, seed)
                 assert box.probability(setting, fsets) == black[setting]
+
+    @pytest.mark.parametrize("ins, outs", SIGNATURES)
+    def test_wrapper_asked_in_shuffled_order_sees_the_direct_array(self, ins, outs):
+        op = signature_op(ins, outs, seed=len(ins) * 10 + len(outs))
+        fsets = ot.default_fiducials_for(op)
+        direct = ot.probe(ot.SampledBlackBox(op, 1000, seed=7), fsets).data
+        box = Wrapping(ot.SampledBlackBox(op, 1000, seed=7))
+        order = list(np.ndindex(*direct.shape))
+        np.random.default_rng(1).shuffle(order)
+        for setting in order:
+            assert box.probability(setting, fsets) == direct[setting]
+
+    @pytest.mark.parametrize("ins, outs", SIGNATURES)
+    def test_different_seeds_give_different_arrays(self, ins, outs):
+        op = signature_op(ins, outs, seed=len(ins) * 10 + len(outs))
+        fsets = ot.default_fiducials_for(op)
+        arrays = [ot.probe(ot.SampledBlackBox(op, 1000, s), fsets).data for s in SAMPLER_SEEDS]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.array_equal(a, b)
+
+    def test_overlaps_just_outside_0_and_1_are_clamped(self):
+        # |0><0| pushed one ulp above 1 and |1><1| 1e-17 below 0
+        prep = ot.LabeledOperator(
+            (Leg("a", 1, OUTPUT, 2),), np.diag([1 + 2.3e-16, -1e-17])
+        )
+        fsets = ot.default_fiducials_for(prep)
+        exact = ot.probe(ot.ExactBlackBox(prep), fsets).data
+        assert exact[0] > 1 and exact[1] < 0
+        with np.errstate(all="raise"):
+            black = ot.probe(ot.SampledBlackBox(prep, 1000, seed=2), fsets).data
+        assert (black[0], black[1]) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("ins, outs", CHANNEL_SIGNATURES)
+    def test_bound_at_1e6_shots_over_seeds(self, ins, outs):
+        dims = {"a": 2, "b": 3}
+        legs = [Leg(t, k + 1, INPUT, dims[t]) for k, t in enumerate(ins)]
+        legs += [Leg(t, len(ins) + k + 1, OUTPUT, dims[t]) for k, t in enumerate(outs)]
+        for seed in range(5):
+            hidden = ot.random_physical_transformation(legs[: len(ins)], legs[len(ins):], seed)
+            fsets = ot.default_fiducials_for(hidden)
+            recovered = ot.reconstruct_operation(ot.SampledBlackBox(hidden, 10**6, seed), fsets)
+            assert np.max(np.abs(recovered.matrix - hidden.matrix)) <= 0.02
 
     def test_zero_leg_box(self):
         op = ot.LabeledOperator((), np.array([[0.37]]))
@@ -276,20 +316,9 @@ class TestSampledProbeOracle:
             box = ot.SampledBlackBox(op, 1000, seed)
             black = ot.probe(box, {}).data
             assert black.shape == ()
-            assert np.array_equal(black, _reference_sampled_probe(box, {}))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**80),
-        shape=st.lists(st.integers(1, 5), max_size=6).map(tuple),
-    )
-    def test_states_match_default_rng(self, seed, shape):
-        states = _stream_states(seed, shape)
-        order = list(np.ndindex(*shape))
-        assert len(states) == len(order)
-        for setting, (state, inc) in zip(order, states):
-            want = np.random.default_rng((seed,) + setting).bit_generator.state
-            assert want["state"] == {"state": state, "inc": inc}
+            assert np.array_equal(black, ot.probe(ot.SampledBlackBox(op, 1000, seed), {}).data)
+            assert box.probability((), {}) == black
+            assert abs(black - 0.37) <= 0.1
 
     def test_seed_errors(self, fsets):
         op = qubit_channel(seed=5)
@@ -334,17 +363,6 @@ class TestSampledProbeOracle:
     def test_box_asked_setting_by_setting_computes_the_overlaps_once(
         self, ins, outs, monkeypatch
     ):
-        class Wrapping:  # as a foreign box would, it asks the inner box per setting
-            def __init__(self, box):
-                self.box = box
-
-            @property
-            def signature(self):
-                return self.box.signature
-
-            def probability(self, setting, fsets):
-                return self.box.probability(setting, fsets)
-
         op = signature_op(ins, outs, seed=len(ins) * 10 + len(outs))
         fsets = ot.default_fiducials_for(op)
         calls = count_calls(monkeypatch, tomography, "_fiducial_overlaps")
@@ -425,6 +443,17 @@ def _reference_sandwich(op, ancilla_dims, samples, seed, eps=1e-9):
     return ot.SandwichReport(passed, min_sandwich, max_trace, samples, dims)
 
 
+def _reference_per_leg(data, matrices):
+    k = data.ndim
+    operands: list = [data, list(range(k))]
+    out = list(range(k))
+    for m, matrix in enumerate(matrices):
+        if matrix is not None:
+            operands.extend([matrix, [k + m, m]])
+            out[m] = k + m
+    return np.einsum(*operands, out)
+
+
 def _assert_close(got, want):
     assert np.shape(got) == np.shape(want)
     assert np.max(np.abs(np.asarray(got) - want), initial=0.0) <= 1e-12
@@ -432,8 +461,9 @@ def _assert_close(got, want):
 
 @pytest.mark.parametrize("ins, outs", SIGNATURES + [((), ())])
 def test_per_leg_kernel_matches_einsum_references(ins, outs):
-    """Decompose, reconstruct, exact probe, both dot conversions and sandwich
-    sampling against the einsum expressions; the last case has no legs."""
+    """Decompose, reconstruct, exact probe, both dot conversions, the per-leg
+    kernel on a non-contiguous input and sandwich sampling against the einsum
+    expressions; the last case has no legs."""
     op = signature_op(ins, outs, seed=3) if ins or outs else ot.scalar_operator(0.75)
     fsets = ot.default_fiducials_for(op)
     white = ot.decompose(op, fsets)
@@ -447,6 +477,14 @@ def test_per_leg_kernel_matches_einsum_references(ins, outs):
         converted = ot.convert_dots(source, target, fsets)
         targets = [target] * len(source.indices)
         _assert_close(converted.data, _reference_convert_dots(source, targets, fsets))
+    # the kernel alone on a transposed, so non-contiguous, array, with a
+    # rectangular matrix (K_out != K_in) on every leg but the second
+    rng = np.random.default_rng(len(op.legs))
+    data = rng.standard_normal(black.data.shape[::-1]).T
+    matrices = [rng.standard_normal((kin + m + 1, kin)) for m, kin in enumerate(data.shape)]
+    if len(matrices) > 1:
+        matrices[1] = None
+    _assert_close(_per_leg(data, matrices), _reference_per_leg(data, matrices))
     got = ot.sandwich_check(op, (1, 2, 4), samples=50, seed=4)
     want = _reference_sandwich(op, (1, 2, 4), samples=50, seed=4)
     assert abs(got.min_sandwich - want.min_sandwich) <= 1e-12
@@ -454,6 +492,31 @@ def test_per_leg_kernel_matches_einsum_references(ins, outs):
     assert (got.passed, got.samples, got.ancilla_dims) == (
         want.passed, want.samples, want.ancilla_dims
     )
+
+
+@pytest.mark.parametrize("ins, outs", SIGNATURES)
+def test_per_leg_kernel_is_one_matmul_per_leg(ins, outs, monkeypatch):
+    """No tensordot or moveaxis anywhere on the fiducial side, and one
+    ``np.matmul`` per leg matrix that is not ``None``."""
+    op = signature_op(ins, outs, seed=3)
+    fsets = ot.default_fiducials_for(op)
+    white = ot.decompose(op, fsets)
+    targets = [ot.BLACK if m % 2 else ot.WHITE for m in range(len(op.legs))]
+    ordered = op.permuted([l.id for l in op.input_legs + op.output_legs])
+    counts = {name: count_calls(monkeypatch, np, name) for name in ("tensordot", "moveaxis")}
+    matmuls = count_calls(monkeypatch, np, "matmul")
+    k = len(op.legs)
+    for call, legs_applied in (
+        (lambda: ot.probe(ot.ExactBlackBox(op), fsets), k),
+        (lambda: ot.decompose(op, fsets), 2 * k),  # the overlaps, then the Gram inverses
+        (lambda: ot.convert_dots(white, targets, fsets), targets.count(ot.BLACK)),
+        (lambda: ot.reconstruct(white, fsets, legs=op.legs), k),
+        (lambda: evaluator._transfer_matrix(ordered), k),
+    ):
+        matmuls.clear()
+        call()
+        assert len(matmuls) == legs_applied
+    assert counts == {"tensordot": [], "moveaxis": []}
 
 
 def test_convert_dots_unchanged_index_needs_no_fiducials(rng, fsets):
