@@ -3,19 +3,21 @@
 Run from the repository root::
 
     python3 tools/bench_pairs.py --base HEAD~1 --change HEAD \
-        --workload tomography --seed 11 --pairs 10 --seconds 30 --out BENCH.json
+        --workload tomography --seed 11 --out BENCH.json
 
 Each revision (any commit or tree) is exported with ``git archive`` into a
 fresh directory, so neither side sees the working tree or a stale
-``__pycache__``.  Every pair runs the unchanged ``perfbench/run.py`` of each
-copy once, the base first in even pairs and the change first in odd ones,
-with the caller's ``PYTHONDONTWRITEBYTECODE`` on both sides.  For each workload
+``__pycache__``.  Each workload gets ten pairs; every pair runs the unchanged
+``perfbench/run.py`` of each copy once for BENCHMARK.json's ``run_seconds``,
+the base first in even pairs and the change first in odd ones, with the
+caller's ``PYTHONDONTWRITEBYTECODE`` on both sides.  For each workload
 and each end-to-end metric of BENCHMARK.json the output holds both sides'
 values, medians and quartiles, how many pairs the change won, and whether
 the gap between the medians exceeds the base's quartile spread; it also
-records the machine and the bytecode setting.  If ``--out`` already holds a
-comparison of the same two revisions, the new workloads are added to it, so
-that several seeds or pair counts can share one file.
+records the machine, the bytecode setting and each side's ``src/`` tree, so a
+later commit that touches no source can be matched to the measurement.  If
+``--out`` already holds a comparison of the same two revisions, the new
+workloads are added to it, so that several seeds can share one file.
 """
 
 from __future__ import annotations
@@ -30,14 +32,19 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+
+
+def rev_parse(rev: str) -> str:
+    return subprocess.run(
+        ["git", "rev-parse", "--verify", rev], cwd=ROOT, check=True,
+        capture_output=True, text=True,
+    ).stdout.strip()
 
 
 def export(rev: str, into: Path) -> tuple[str, Path]:
     """``git archive`` of ``rev`` unpacked into ``into``; returns (object id, directory)."""
-    object_id = subprocess.run(
-        ["git", "rev-parse", "--verify", rev], cwd=ROOT, check=True,
-        capture_output=True, text=True,
-    ).stdout.strip()
+    object_id = rev_parse(rev)
     into.mkdir(parents=True)
     archive = subprocess.run(
         ["git", "archive", object_id], cwd=ROOT, check=True, capture_output=True
@@ -94,17 +101,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True,
                         help="a workload of BENCHMARK.json; repeat for several")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
     # each checkout imports its own src/; both sides inherit one bytecode setting
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     out = Path(args.out)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
         base_id, base_dir = export(args.base, Path(work) / "base")
@@ -114,21 +118,22 @@ def main(argv=None) -> int:
         if report.get("objects", revisions) != revisions:
             parser.error(f"{out} compares {report['objects']}, not {revisions}")
         report["objects"] = revisions
+        report["src_trees"] = {side: rev_parse(f"{rev}:src") for side, rev in revisions.items()}
         for workload in args.workload:
             runs: dict[str, list[dict]] = {"base": [], "change": []}
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = ("base", "change") if pair % 2 == 0 else ("change", "base")
                 for side in order:
                     checkout = base_dir if side == "base" else change_dir
-                    runs[side].append(run_once(checkout, workload, args.seed, args.seconds, env))
-                print(f"{workload} pair {pair + 1}/{args.pairs}: " + ", ".join(
+                    runs[side].append(run_once(checkout, workload, args.seed, seconds, env))
+                print(f"{workload} pair {pair + 1}/{PAIRS}: " + ", ".join(
                     f"{side} {runs[side][-1]['metrics']['item_ms.p50']['value']:.3f} ms"
                     for side in ("base", "change")
                 ), file=sys.stderr, flush=True)
             report["comparisons"].append({
                 "workload": workload,
                 "seed": args.seed,
-                "seconds": args.seconds,
+                "seconds": seconds,
                 "bytecode": {"PYTHONDONTWRITEBYTECODE": env.get("PYTHONDONTWRITEBYTECODE")},
                 "machine": runs["base"][0]["machine"],
                 "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
