@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -41,13 +41,35 @@ COND_WARN_THRESHOLD = 1e8
 
 @dataclass(frozen=True, eq=False)
 class FiducialSet:
-    """Spanning physical preparations and results for one system type."""
+    """Spanning physical preparations and results for one system type.
+
+    Next to the metric and its inverse, a set computes once what depends on
+    it alone, all read-only: each family's matrices stacked ``(K, d, d)``,
+    and the inverse of each family's Gram matrix ``Tr(F_j F_l)``, the dual
+    that turns a leg's overlaps with the family into expansion weights.
+    """
 
     sys_type: SystemType
     preps: tuple[LabeledOperator, ...]
     results: tuple[LabeledOperator, ...]
     metric: np.ndarray
     metric_inv: np.ndarray
+    prep_stack: np.ndarray = field(init=False, repr=False)
+    result_stack: np.ndarray = field(init=False, repr=False)
+    prep_dual: np.ndarray = field(init=False, repr=False)
+    result_dual: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        prep_stack = _one_leg_stack(self.preps, OUTPUT)
+        result_stack = _one_leg_stack(self.results, INPUT)
+        for name, array in (
+            ("prep_stack", prep_stack),
+            ("result_stack", result_stack),
+            ("prep_dual", _gram_dual(prep_stack)),
+            ("result_dual", _gram_dual(result_stack)),
+        ):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def k(self) -> int:
@@ -71,6 +93,27 @@ def _one_leg_stack(ops: Sequence[LabeledOperator], role: str) -> np.ndarray:
         if len(op.legs) != 1 or op.legs[0].role != role:
             raise SingularBasisError(f"fiducial {op!r} needs exactly one {role} leg")
     return np.stack([op.matrix for op in ops])
+
+
+def _gram_dual(stack: np.ndarray) -> np.ndarray:
+    """Inverse of the Gram matrix ``Tr(F_j F_l)`` of a stack of Hermitian fiducials.
+
+    Warns with :class:`ConditioningWarning` when the Gram matrix's condition
+    number exceeds ``COND_WARN_THRESHOLD``; the warning names the line that
+    called ``make_fiducials``.
+    """
+    gram = np.einsum("jab,lba->jl", stack, stack).real
+    cond = np.linalg.cond(gram)
+    if cond > COND_WARN_THRESHOLD:
+        warnings.warn(
+            f"fiducial Gram system condition number {cond:.2e}",
+            ConditioningWarning,
+            stacklevel=5,
+        )
+    try:
+        return np.linalg.inv(gram)
+    except np.linalg.LinAlgError as exc:
+        raise SingularBasisError(str(exc)) from exc
 
 
 def compute_hopping_metric(
@@ -104,7 +147,11 @@ def make_fiducials(
     preps: Sequence[LabeledOperator],
     results: Sequence[LabeledOperator],
 ) -> FiducialSet:
-    """Assemble and validate a fiducial set, computing the metric and its inverse."""
+    """Assemble and validate a fiducial set, computing the metric and its inverse.
+
+    The set also computes its stacks and Gram duals, so an ill-conditioned
+    family warns here, with :class:`ConditioningWarning`.
+    """
     k = sys_type.fiducial_count
     if len(preps) != k or len(results) != k:
         raise SingularBasisError(f"need {k} preps and results for {sys_type.name}")
@@ -189,7 +236,7 @@ class Duotensor:
         expected = tuple(ix.k for ix in self.indices)
         if data.shape != expected:
             raise ShapeMismatchError(f"data shape {data.shape}, indices need {expected}")
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise ValueError("duotensor data must be finite")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -199,18 +246,20 @@ class Duotensor:
         return tuple(ix.color for ix in self.indices)
 
 
-def _fiducial_stack(
+def _fiducial_family(
     fsets: Mapping[str, FiducialSet], leg: Leg, probing: bool = False
-) -> np.ndarray:
-    """Matrices of the fiducials attached to one leg, shape (K, d, d).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stored stack (K, d, d) of the fiducials attached to one leg, and their Gram dual.
 
     An expansion (``decompose``, ``reconstruct``) takes results for inputs
     and preparations for outputs.  ``probing`` takes the fiducials that
     close the leg in a circuit: preparations for inputs, results for outputs.
     """
     fset = fsets[leg.sys]
-    family = fset.results if (leg.role == INPUT) != probing else fset.preps
-    stack = np.stack([op.matrix for op in family])
+    if (leg.role == INPUT) != probing:
+        stack, dual = fset.result_stack, fset.result_dual
+    else:
+        stack, dual = fset.prep_stack, fset.prep_dual
     dim = stack.shape[-1]
     if dim != leg.dim:
         if probing:  # the message bind_names gives for the probing circuit
@@ -220,7 +269,14 @@ def _fiducial_stack(
         raise ShapeMismatchError(
             f"fiducials for {leg.sys!r} have dim {dim}, leg has {leg.dim}"
         )
-    return stack
+    return stack, dual
+
+
+def _fiducial_stack(
+    fsets: Mapping[str, FiducialSet], leg: Leg, probing: bool = False
+) -> np.ndarray:
+    """The stored stack of :func:`_fiducial_family`."""
+    return _fiducial_family(fsets, leg, probing)[0]
 
 
 def _per_leg(data: np.ndarray, matrices: Sequence[np.ndarray | None]) -> np.ndarray:
@@ -262,32 +318,16 @@ def _fiducial_overlaps(op: LabeledOperator, stacks: Sequence[np.ndarray]) -> np.
     return overlaps.real.copy()
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    cond = np.linalg.cond(gram)
-    if cond > COND_WARN_THRESHOLD:
-        warnings.warn(
-            f"fiducial Gram system condition number {cond:.2e}",
-            ConditioningWarning,
-            stacklevel=3,
-        )
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBasisError(str(exc)) from exc
-
-
 def decompose(op: LabeledOperator, fsets: Mapping[str, FiducialSet]) -> Duotensor:
     """Expand an operator in the tensor-product fiducial basis (all-white form).
 
-    The expansion is exact: weights solve the Gram system of Hilbert-Schmidt
-    overlaps, which factorizes leg by leg.
+    The expansion is exact: the Gram system of Hilbert-Schmidt overlaps
+    factorizes leg by leg, and each leg's fiducial set holds its solution,
+    the Gram dual, which one matmul applies to that leg's overlaps.
     """
-    stacks = [_fiducial_stack(fsets, leg) for leg in op.legs]
-    inverses = []
-    for stack in stacks:
-        gram = np.einsum("jab,lba->jl", stack, stack).real
-        inverses.append(_solve_gram(gram, np.eye(len(gram))))
-    weights = _per_leg(_fiducial_overlaps(op, stacks), inverses)
+    families = [_fiducial_family(fsets, leg) for leg in op.legs]
+    overlaps = _fiducial_overlaps(op, [stack for stack, _ in families])
+    weights = _per_leg(overlaps, [dual for _, dual in families])
     indices = tuple(DuoIndex(l.sys, l.id, l.role, l.dim, WHITE) for l in op.legs)
     return Duotensor(indices, weights)
 
@@ -346,7 +386,9 @@ def convert_dots(
         fset = fsets[ix.sys]
         matrix = fset.metric if want == BLACK else fset.metric_inv
         matrices.append(matrix if ix.role == INPUT else matrix.T)
-    new_indices = tuple(replace(ix, color=want) for ix, want in zip(dt.indices, targets))
+    new_indices = tuple(
+        DuoIndex(ix.sys, ix.id, ix.role, ix.dim, want) for ix, want in zip(dt.indices, targets)
+    )
     return Duotensor(new_indices, _per_leg(dt.data, matrices))
 
 

@@ -87,10 +87,48 @@ class SandwichReport:
     ancilla_dims: tuple[int, ...]
 
 
-def _haar_batch(rng: np.random.Generator, n: int, rows: int, cols: int) -> np.ndarray:
-    v = rng.standard_normal((n, rows * cols)) + 1j * rng.standard_normal((n, rows * cols))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return v.reshape(n, rows, cols)
+def _gaussian_vectors(
+    seed, samples: int, shapes: Sequence[tuple[int, int]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Complex Gaussian vectors from one normal draw, laid out sample-last.
+
+    For each ``(rows, cols)`` of ``shapes`` in turn: ``samples`` vectors of
+    ``rows * cols`` entries as an array ``(rows, cols, samples)``, and their
+    squared norms, shape ``(samples,)``.  One
+    ``default_rng(seed).standard_normal`` call gives every normal, in the
+    order that one generator gives them to successive draws of a real and
+    then an imaginary ``(samples, rows * cols)`` array per shape.  Divided
+    by its norm, each vector is the Haar-random unit vector of those draws.
+    """
+    sizes = [samples * rows * cols for rows, cols in shapes]
+    normals = np.random.default_rng(seed).standard_normal(2 * sum(sizes))
+    vectors = []
+    start = 0
+    for (rows, cols), size in zip(shapes, sizes):
+        parts = normals[start:start + 2 * size].reshape(2, samples, rows * cols)
+        start += 2 * size
+        v = np.empty((rows * cols, samples), complex)
+        v.real = parts[0].T
+        v.imag = parts[1].T
+        norms = np.einsum("psk,psk->s", parts, parts)
+        vectors.append((v.reshape(rows, cols, samples), norms))
+    return vectors
+
+
+def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re(sum(conj(a) * b, axis=0))`` of two C-contiguous complex ``(n, m)`` arrays."""
+    x = np.einsum("ak,ak->k", a.view(float), b.view(float))
+    return x[0::2] + x[1::2]
+
+
+def _ancilla_dims(ancilla_dims: Sequence[int]) -> tuple[int, ...]:
+    dims = tuple(ancilla_dims)
+    if not dims:
+        raise ValueError(f"ancilla_dims must name at least one dimension, got {ancilla_dims!r}")
+    for g in dims:
+        if isinstance(g, bool) or not isinstance(g, (int, np.integer)) or g < 1:
+            raise ValueError(f"ancilla dimension must be an integer >= 1, got {g!r}")
+    return tuple(dict.fromkeys(int(g) for g in dims))
 
 
 def sandwich_check(
@@ -106,32 +144,37 @@ def sandwich_check(
     on (outputs x ancilla) sandwich the operator; the trace condition pairs
     each preparation with the identity result.  Passes iff the smallest
     sandwich value stays above ``-eps`` and the largest trace value below
-    ``1 + eps``.
+    ``1 + eps``.  Each ancilla dimension, an integer >= 1, is checked once
+    however often it is named.  Every sample comes from one normal draw of
+    ``np.random.default_rng(seed)``, so one seed always gives one report.
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise TypeError(f"samples must be an integer, not {type(samples).__name__}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     in_legs, out_legs = op.input_legs, op.output_legs
     nin = math.prod(l.dim for l in in_legs)
     nout = math.prod(l.dim for l in out_legs)
+    dims = _ancilla_dims((1, nin, nin * nin) if ancilla_dims is None else ancilla_dims)
     arranged = op.permuted([l.id for l in in_legs] + [l.id for l in out_legs])
-    if ancilla_dims is None:
-        ancilla_dims = (1, nin, nin * nin)
-    dims = tuple(dict.fromkeys(max(1, int(g)) for g in ancilla_dims))
-    rng = np.random.default_rng(seed)
     trace_out = output_trace(arranged).matrix
     choi = input_transpose(arranged).matrix  # rows and columns (in, out)
+    vectors = _gaussian_vectors(seed, samples, [(n, g) for g in dims for n in (nin, nout)])
     min_sandwich = math.inf
     max_trace = -math.inf
-    for g in dims:
-        alpha = _haar_batch(rng, samples, nin, g)
-        gamma = _haar_batch(rng, samples, nout, g)
-        # value of  prep . op . result  for every sample at once; the
-        # ancilla is traced out first, pairing each sample's prep and result
-        pair = np.matmul(alpha, gamma.conj().transpose(0, 2, 1)).reshape(samples, -1)
-        vals = ((pair @ choi) * pair.conj()).sum(axis=1)
-        trace_vals = (alpha.conj() * (trace_out @ alpha)).sum(axis=(1, 2))
-        min_sandwich = min(min_sandwich, float(vals.real.min()))
-        max_trace = max(max_trace, float(trace_vals.real.max()))
+    for k, g in enumerate(dims):
+        (alpha, norm_a), (gamma, norm_c) = vectors[2 * k], vectors[2 * k + 1]
+        # the ancilla traced out pairs each sample's prep and result:
+        # pair[i, y, s] = sum_g conj(alpha[i, g, s]) gamma[y, g, s]
+        pair = np.einsum("igs,ygs->iys", alpha.conj(), gamma).reshape(nin * nout, samples)
+        # a sandwich value is quadratic in the prep and in the result vector
+        # and a trace value in the prep vector, so the squared norms divide
+        # the values rather than the vectors
+        vals = _real_inner(pair, choi @ pair) / (norm_a * norm_c)
+        traced = (trace_out @ alpha.reshape(nin, g * samples)).reshape(nin * g, samples)
+        trace_vals = _real_inner(alpha.reshape(nin * g, samples), traced) / norm_a
+        min_sandwich = min(min_sandwich, float(vals.min()))
+        max_trace = max(max_trace, float(trace_vals.max()))
     passed = min_sandwich >= -eps and max_trace <= 1.0 + eps
     return SandwichReport(passed, min_sandwich, max_trace, samples, dims)
 

@@ -122,9 +122,8 @@ def probe(bb, fsets: Mapping[str, FiducialSet]) -> Duotensor:
         data = bb._values(fsets)
     else:
         shape = tuple(fsets[leg.sys].k for leg in legs)
-        data = np.empty(shape)
-        for setting in itertools.product(*map(range, shape)):
-            data[setting] = bb.probability(setting, fsets)
+        settings = itertools.product(*map(range, shape))
+        data = np.array([bb.probability(s, fsets) for s in settings], dtype=float).reshape(shape)
     indices = tuple(DuoIndex(l.sys, l.id, l.role, l.dim, BLACK) for l in legs)
     return Duotensor(indices, data)
 

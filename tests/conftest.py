@@ -404,3 +404,32 @@ def inout_tensor(op: LabeledOperator) -> tuple[np.ndarray, int, int]:
     nin = math.prod(l.dim for l in op.input_legs)
     nout = math.prod(l.dim for l in op.output_legs)
     return arranged.matrix.reshape(nin, nout, nin, nout), nin, nout
+
+
+def haar_batch(rng: np.random.Generator, n: int, rows: int, cols: int) -> np.ndarray:
+    """The reference sampler: ``n`` Haar-random unit vectors of ``rows * cols``
+    entries, shape ``(n, rows, cols)``, from a real and then an imaginary
+    ``(n, rows * cols)`` normal draw of ``rng``."""
+    v = rng.standard_normal((n, rows * cols)) + 1j * rng.standard_normal((n, rows * cols))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v.reshape(n, rows, cols)
+
+
+def reference_sandwich_check(op, ancilla_dims, samples, seed, eps=1e-9):
+    """sandwich_check as one five-operand einsum per ancilla dim, same draws."""
+    tensor, nin, nout = inout_tensor(op)
+    dims = tuple(dict.fromkeys(max(1, int(g)) for g in ancilla_dims))
+    rng = np.random.default_rng(seed)
+    trace_out = np.einsum(tensor, [0, 1, 2, 1], [0, 2])
+    min_sandwich, max_trace = np.inf, -np.inf
+    for g in dims:
+        alpha = haar_batch(rng, samples, nin, g)
+        gamma = haar_batch(rng, samples, nout, g)
+        vals = np.einsum(
+            "sig,sIG,IyiY,sYG,syg->s", alpha, alpha.conj(), tensor, gamma, gamma.conj()
+        )
+        trace_vals = np.einsum("sig,sIg,Ii->s", alpha, alpha.conj(), trace_out)
+        min_sandwich = min(min_sandwich, float(vals.real.min()))
+        max_trace = max(max_trace, float(trace_vals.real.max()))
+    passed = min_sandwich >= -eps and max_trace <= 1.0 + eps
+    return physicality.SandwichReport(passed, min_sandwich, max_trace, samples, dims)

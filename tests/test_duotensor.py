@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from optensor.duotensor import (
     WHITE,
     _fiducial_overlaps,
     _fiducial_stack,
-    _solve_gram,
     compute_hopping_metric,
 )
 from optensor.notation import INPUT, OUTPUT
+from conftest import count_calls, signature_op
 
 QUBIT = SystemType("a", 2)
 
@@ -271,10 +272,18 @@ class TestValidation:
         with pytest.raises(ot.DimMismatchError):
             compute_hopping_metric(qubit_fiducials.preps, qutrit_fiducials.results)
 
-    def test_ill_conditioned_gram_warns(self):
-        gram = np.diag([1.0, 1e-10])
-        with pytest.warns(ot.ConditioningWarning):
-            _solve_gram(gram, np.ones(2))
+    def test_ill_conditioned_gram_warns(self, qubit_fiducials):
+        """|0>, |1>, |+> and a state 1e-5 from |+> span, with a Gram
+        condition number near 1e10: building the set warns, decomposing does not."""
+        v = np.array([1.0, np.exp(1e-5j)]) / np.sqrt(2)
+        near_plus = LabeledOperator(qubit_fiducials.preps[2].legs, np.outer(v, v.conj()))
+        preps = qubit_fiducials.preps[:3] + (near_plus,)
+        with pytest.warns(ot.ConditioningWarning, match="condition number"):
+            fset = ot.make_fiducials(QUBIT, preps, qubit_fiducials.results)
+        prep = ot.random_preparation([Leg("a", 1, OUTPUT, 2)], seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ot.ConditioningWarning)
+            ot.decompose(prep, {"a": fset})
 
 
 class TestSerialization:
@@ -359,6 +368,44 @@ def test_fiducial_set_deepcopies():
     assert [op.legs for op in again.preps] == [op.legs for op in fset.preps]
     assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(again.results, fset.results))
     assert np.array_equal(again.metric, fset.metric)
+
+
+class TestStoredFamilies:
+    """A fiducial set holds each family's stack and Gram dual, read-only."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stacks_are_the_family_matrices(self, d):
+        fset = ot.default_fiducials(SystemType("a", d))
+        for stack, family in ((fset.prep_stack, fset.preps), (fset.result_stack, fset.results)):
+            want = np.stack([op.matrix for op in family])
+            assert not stack.flags.writeable
+            assert (stack.dtype, stack.shape) == (want.dtype, want.shape)
+            assert stack.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_duals_invert_the_gram_matrices(self, d):
+        fset = ot.default_fiducials(SystemType("a", d))
+        for stack, dual in ((fset.prep_stack, fset.prep_dual), (fset.result_stack, fset.result_dual)):
+            gram = np.einsum("jab,lba->jl", stack, stack).real
+            assert not dual.flags.writeable
+            assert np.max(np.abs(dual @ gram - np.eye(fset.k))) <= 1e-12
+
+    def test_conversions_stack_solve_and_cond_nothing(self, monkeypatch):
+        op = signature_op(("a", "b"), ("b",), seed=2)
+        fsets = ot.default_fiducials_for(op)
+        calls = {
+            name: count_calls(monkeypatch, module, name)
+            for module, name in ((np, "stack"), (np.linalg, "solve"), (np.linalg, "cond"))
+        }
+        white = ot.decompose(op, fsets)
+        ot.probe(ot.ExactBlackBox(op), fsets)
+        ot.reconstruct(white, fsets, legs=op.legs)
+        ot.reconstruct_operation(ot.SampledBlackBox(op, 100, seed=1), fsets)
+        assert {name: len(c) for name, c in calls.items()} == {"stack": 0, "solve": 0, "cond": 0}
+        # the spies do see a set being built
+        fset = fsets["a"]
+        ot.make_fiducials(fset.sys_type, fset.preps, fset.results)
+        assert len(calls["stack"]) > 0 and len(calls["cond"]) == 2
 
 
 def test_shape_mismatch():

@@ -1,15 +1,22 @@
 """Physicality: spectral test, sandwich sampling, witnesses, complete sets,
 alternate-transpose layer positivity, and unitary transformations."""
 
+import re
 import sys
 
 import numpy as np
 import pytest
 
 import optensor as ot
-from optensor import LabeledOperator, Leg, WireLabel
+from optensor import LabeledOperator, Leg, WireLabel, physicality
 from optensor.notation import INPUT, OUTPUT
-from conftest import count_bind_plan_check, count_calls, inout_tensor, random_circuit
+from conftest import (
+    count_bind_plan_check,
+    count_calls,
+    haar_batch,
+    random_circuit,
+    reference_sandwich_check,
+)
 
 PHI_PLUS = 0.5 * np.outer([1, 0, 0, 1], [1, 0, 0, 1])
 
@@ -138,33 +145,43 @@ class TestSandwichCheck:
             op = LabeledOperator(op.legs, op.matrix + perturbation * (raw + raw.conj().T))
             seed = int(rng.integers(1 << 30))
             got = ot.sandwich_check(op, ancillas, samples=200, seed=seed)
-            want = _reference_sandwich_check(op, ancillas, samples=200, seed=seed)
+            want = reference_sandwich_check(op, ancillas, samples=200, seed=seed)
             assert abs(got.min_sandwich - want.min_sandwich) <= 1e-12
             assert abs(got.max_trace_scalar - want.max_trace_scalar) <= 1e-12
             assert got.passed == want.passed
             assert got.ancilla_dims == want.ancilla_dims
 
+    def test_one_draw_vectors_match_the_reference_sampler(self):
+        shapes = [(2, 1), (3, 1), (2, 4), (6, 4), (1, 1)]
+        for seed, samples in ((0, 1), (7, 30), (123456789, 300)):
+            got = physicality._gaussian_vectors(seed, samples, shapes)
+            rng = np.random.default_rng(seed)
+            for (vectors, norms), (rows, cols) in zip(got, shapes):
+                want = haar_batch(rng, samples, rows, cols)
+                assert vectors.shape == (rows, cols, samples) and norms.shape == (samples,)
+                units = vectors.transpose(2, 0, 1) / np.sqrt(norms)[:, None, None]
+                assert np.max(np.abs(units - want)) <= 1e-15
 
-def _reference_sandwich_check(op, ancilla_dims, samples, seed, eps=1e-9):
-    """sandwich_check as one five-operand einsum per ancilla dim, same draws."""
-    from optensor.physicality import _haar_batch
+    def test_empty_ancilla_dims_rejected(self):
+        with pytest.raises(ValueError, match=r"at least one dimension, got \(\)"):
+            ot.sandwich_check(pt_entangled_prep(), ())
 
-    tensor, nin, nout = inout_tensor(op)
-    dims = tuple(dict.fromkeys(max(1, int(g)) for g in ancilla_dims))
-    rng = np.random.default_rng(seed)
-    trace_out = np.einsum(tensor, [0, 1, 2, 1], [0, 2])
-    min_sandwich, max_trace = np.inf, -np.inf
-    for g in dims:
-        alpha = _haar_batch(rng, samples, nin, g)
-        gamma = _haar_batch(rng, samples, nout, g)
-        vals = np.einsum(
-            "sig,sIG,IyiY,sYG,syg->s", alpha, alpha.conj(), tensor, gamma, gamma.conj()
-        )
-        trace_vals = np.einsum("sig,sIg,Ii->s", alpha, alpha.conj(), trace_out)
-        min_sandwich = min(min_sandwich, float(vals.real.min()))
-        max_trace = max(max_trace, float(trace_vals.real.max()))
-    passed = min_sandwich >= -eps and max_trace <= 1.0 + eps
-    return ot.SandwichReport(passed, min_sandwich, max_trace, samples, dims)
+    @pytest.mark.parametrize("bad", [0, -3, 2.7, 2.0, True, "2"])
+    def test_ancilla_dim_not_a_positive_integer_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"integer >= 1, got {bad!r}")):
+            ot.sandwich_check(pt_entangled_prep(), (1, bad))
+
+    @pytest.mark.parametrize("bad", [True, 2.5, 300.0, "300"])
+    def test_non_integer_samples_rejected(self, bad):
+        with pytest.raises(TypeError, match="samples must be an integer"):
+            ot.sandwich_check(pt_entangled_prep(), (1,), samples=bad)
+
+    def test_duplicate_ancilla_dims_checked_once(self):
+        op = ot.identity_transformation(WireLabel("a", 1), WireLabel("a", 2), 2)
+        report = ot.sandwich_check(op, (2, 1, np.int64(2), 1), samples=20)
+        assert report.ancilla_dims == (2, 1)
+        assert all(type(g) is int for g in report.ancilla_dims)
+        assert report == ot.sandwich_check(op, (2, 1), samples=20)
 
 
 class TestWitness:

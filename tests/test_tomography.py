@@ -1,6 +1,5 @@
 """Process tomography: exact linear inversion and shot-noise behaviour."""
 
-import math
 import re
 
 import numpy as np
@@ -12,8 +11,7 @@ from optensor.cli import main
 from optensor.contraction import circuit_trace
 from optensor.duotensor import _fiducial_stack, _per_leg
 from optensor.notation import INPUT, OUTPUT
-from optensor.physicality import _haar_batch
-from conftest import SIGNATURES, count_calls, inout_tensor, signature_op
+from conftest import SIGNATURES, count_calls, reference_sandwich_check, signature_op
 
 
 @pytest.fixture(scope="module")
@@ -424,25 +422,6 @@ def _reference_convert_dots(dt, targets, fsets):
     return data
 
 
-def _reference_sandwich(op, ancilla_dims, samples, seed, eps=1e-9):
-    tensor, nin, nout = inout_tensor(op)
-    dims = tuple(dict.fromkeys(max(1, int(g)) for g in ancilla_dims))
-    rng = np.random.default_rng(seed)
-    trace_out = np.einsum(tensor, [0, 1, 2, 1], [0, 2])
-    min_sandwich = math.inf
-    max_trace = -math.inf
-    for g in dims:
-        alpha = _haar_batch(rng, samples, nin, g)
-        gamma = _haar_batch(rng, samples, nout, g)
-        pair = np.einsum("sig,syg->siy", alpha, gamma.conj())
-        vals = np.einsum("siy,IyiY,sIY->s", pair, tensor, pair.conj(), optimize=True)
-        trace_vals = np.einsum("sig,sIg,Ii->s", alpha, alpha.conj(), trace_out)
-        min_sandwich = min(min_sandwich, float(vals.real.min()))
-        max_trace = max(max_trace, float(trace_vals.real.max()))
-    passed = min_sandwich >= -eps and max_trace <= 1.0 + eps
-    return ot.SandwichReport(passed, min_sandwich, max_trace, samples, dims)
-
-
 def _reference_per_leg(data, matrices):
     k = data.ndim
     operands: list = [data, list(range(k))]
@@ -486,7 +465,7 @@ def test_per_leg_kernel_matches_einsum_references(ins, outs):
         matrices[1] = None
     _assert_close(_per_leg(data, matrices), _reference_per_leg(data, matrices))
     got = ot.sandwich_check(op, (1, 2, 4), samples=50, seed=4)
-    want = _reference_sandwich(op, (1, 2, 4), samples=50, seed=4)
+    want = reference_sandwich_check(op, (1, 2, 4), samples=50, seed=4)
     assert abs(got.min_sandwich - want.min_sandwich) <= 1e-12
     assert abs(got.max_trace_scalar - want.max_trace_scalar) <= 1e-12
     assert (got.passed, got.samples, got.ancilla_dims) == (
