@@ -285,7 +285,7 @@ def p_function(
     for _, frag in expr.terms:
         _require_circuit(frag)
     # binds here, as probability does, so that a warning points at the caller
-    total = 0
+    total = 0.0
     for coeff, frag in expr.terms:
         total += coeff * _bind_circuit(frag, binding, eps, check_physical).trace().scalar
     return total

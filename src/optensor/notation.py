@@ -21,7 +21,7 @@ from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .errors import (
     CircuitSyntaxError,
@@ -139,79 +139,63 @@ class CircuitFragment:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _LABEL_RE = re.compile(r"([A-Za-z]+)([0-9]+)")
 _WS_RE = re.compile(r"\s+")
 # A well-formed operation: a name, then at most one port block of each kind in
 # either order, each holding whitespace-separated labels with positive ids.
 _LABEL = r"[A-Za-z]+0*[1-9][0-9]*"
-_BLOCK = rf"\{{\s*({_LABEL}(?:\s+{_LABEL})*)\s*\}}"
+_LABELS = rf"{_LABEL}(?:\s+{_LABEL})*"
+_BLOCK = rf"\{{\s*({_LABELS})\s*\}}"
 _OP_RE = re.compile(
     rf"([A-Za-z][A-Za-z0-9]*)(?:_{_BLOCK}(?:\^{_BLOCK})?|\^{_BLOCK}(?:_{_BLOCK})?)?"
 )
+# The longest well-formed start of a port block: a malformed block's error is
+# named by the character where this stops.  Compiled on the first error, not
+# at import.
+_BLOCK_PREFIX = rf"\{{\s*({_LABELS})?\s*"
 
 
-def _parse_label_block(text: str, pos: int) -> tuple[list[WireLabel], int]:
-    """Parse ``{label label ...}`` starting at the opening brace."""
-    if pos >= len(text) or text[pos] != "{":
-        raise CircuitSyntaxError("malformed port block", pos, "'{'")
-    pos += 1
-    labels: list[WireLabel] = []
-    while True:
-        ws = _WS_RE.match(text, pos)
-        if ws:
-            pos = ws.end()
-        if pos >= len(text):
-            raise CircuitSyntaxError("unterminated port block", pos, "'}'")
-        if text[pos] == "}":
-            if not labels:
-                raise CircuitSyntaxError("empty port block", pos, "label")
-            return labels, pos + 1
-        if labels and not ws:
-            raise CircuitSyntaxError("labels must be separated", pos, "whitespace or '}'")
-        m = _LABEL_RE.match(text, pos)
-        if not m:
-            raise CircuitSyntaxError("malformed label", pos, "label like 'a1'")
-        sys_name, id_text = m.group(1), m.group(2)
-        wire_id = int(id_text)
-        if wire_id < 1:
-            raise CircuitSyntaxError("wire ids are positive", pos, "integer >= 1")
-        labels.append(WireLabel(sys_name, wire_id))
-        pos = m.end()
+def _syntax_error(text: str, pos: int, m: re.Match | None) -> NoReturn:
+    """Raise the first grammar violation of the operation at ``pos``.
 
-
-def _scan_op(text: str, pos: int) -> tuple[OperationDecl, int]:
-    """Parse one operation character by character, naming the first grammar violation."""
-    m = _NAME_RE.match(text, pos)
-    if not m:
+    ``m`` is :data:`_OP_RE`'s match at ``pos``, if any, and stops before a
+    ``^`` or ``_`` that opens either a second block of a kind or a block the
+    pattern refused; the longest well-formed start of that block ends where
+    the error is.
+    """
+    if m is None:
         raise CircuitSyntaxError("malformed operation", pos, "operation name")
-    name = m.group(0)
-    pos = m.end()
-    inputs: list[WireLabel] | None = None
-    outputs: list[WireLabel] | None = None
-    while pos < len(text) and text[pos] in "^_":
-        marker = text[pos]
-        if marker == "^":
-            if outputs is not None:
-                raise CircuitSyntaxError("second superscript block", pos, "at most one '^{...}'")
-            outputs, pos = _parse_label_block(text, pos + 1)
-        else:
-            if inputs is not None:
-                raise CircuitSyntaxError("second subscript block", pos, "at most one '_{...}'")
-            inputs, pos = _parse_label_block(text, pos + 1)
-    return OperationDecl(name, tuple(inputs or ()), tuple(outputs or ())), pos
+    at = m.end()
+    _, ins, outs, outs2, ins2 = m.groups()
+    if text[at] == "^" and (outs or outs2):
+        raise CircuitSyntaxError("second superscript block", at, "at most one '^{...}'")
+    if text[at] == "_" and (ins or ins2):
+        raise CircuitSyntaxError("second subscript block", at, "at most one '_{...}'")
+    block = re.compile(_BLOCK_PREFIX).match(text, at + 1)
+    if block is None:
+        raise CircuitSyntaxError("malformed port block", at + 1, "'{'")
+    stop = block.end()
+    if stop == len(text):
+        raise CircuitSyntaxError("unterminated port block", stop, "'}'")
+    if text[stop] == "}":
+        raise CircuitSyntaxError("empty port block", stop, "label")
+    if block.end(1) == stop:
+        raise CircuitSyntaxError("labels must be separated", stop, "whitespace or '}'")
+    if _LABEL_RE.match(text, stop):  # a label whose id is all zeros
+        raise CircuitSyntaxError("wire ids are positive", stop, "integer >= 1")
+    raise CircuitSyntaxError("malformed label", stop, "label like 'a1'")
 
 
 def _parse_op(text: str, pos: int, interned: dict[str, WireLabel]) -> tuple[OperationDecl, int]:
-    """Parse one operation: one pattern match for a well-formed one, else :func:`_scan_op`.
+    """Parse one operation with one pattern match, else raise :func:`_syntax_error`.
 
     A match followed by ``^`` or ``_`` (a second block of a kind, or a block
-    the pattern refused) is rescanned from ``pos``, so every error is the
-    scanner's.  Labels are shared through ``interned``, keyed by their text.
+    the pattern refused) is an error.  Labels are shared through
+    ``interned``, keyed by their text.
     """
     m = _OP_RE.match(text, pos)
     if m is None or text.startswith(("^", "_"), m.end()):
-        return _scan_op(text, pos)
+        _syntax_error(text, pos, m)
     name, ins, outs, outs2, ins2 = m.groups()
     ports = []
     for block in (ins or ins2, outs or outs2):
@@ -567,7 +551,8 @@ def parse_registry(text: str) -> dict[str, SystemType]:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
+        well_formed = len(parts) == 2 and parts[1].isascii() and parts[1].isdecimal()
+        if not well_formed or int(parts[1]) < 1:
             raise ValueError(f"registry line {lineno}: expected 'name dim' with dim >= 1: {raw!r}")
         name, dim = parts[0], int(parts[1])
         if name in registry:

@@ -88,21 +88,25 @@ class SampledBlackBox(_FiducialBox):
     with ``p`` clamped to [0, 1].  The first call for given fiducial sets
     draws the whole array at once from a fresh ``np.random.default_rng(seed)``,
     so one seed always gives one array, whatever order the settings are
-    asked in; each later call is an O(1) lookup.
+    asked in; each later call is an O(1) lookup.  ``shots`` and ``seed`` are
+    checked when the box is made, and a bool is not an integer here.
     """
 
     shots: int
     seed: int = 0
 
-    def _from_overlaps(self, overlaps: np.ndarray) -> np.ndarray:
-        if not isinstance(self.shots, (int, np.integer)):
+    def __post_init__(self):
+        super().__post_init__()
+        if isinstance(self.shots, bool) or not isinstance(self.shots, (int, np.integer)):
             raise TypeError(f"shots must be an integer, not {type(self.shots).__name__}")
         if self.shots < 1:
             raise ValueError(f"shots must be at least 1, got {self.shots}")
-        if not isinstance(self.seed, (int, np.integer)):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise TypeError(f"seed must be an integer, not {type(self.seed).__name__}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+
+    def _from_overlaps(self, overlaps: np.ndarray) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         counts = rng.binomial(self.shots, np.clip(overlaps, 0, 1), size=overlaps.shape)
         return counts / self.shots

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from optensor import (
+    CircuitSyntaxError,
     LabeledOperator,
     Leg,
     OperationDecl,
@@ -244,6 +246,65 @@ def random_brickwork(rng: np.random.Generator, width: int, depth: int):
         decls.append(OperationDecl(f"R{w.id}", (w,), ()))
         binding[f"R{w.id}"] = random_result(legs([w], INPUT), rng)
     return fragment_from_ops(decls), binding
+
+
+# The reference scanner: a second reading of the circuit grammar, one character
+# at a time, that names the first violation and its position.  The parser must
+# give its operations and its errors.
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+_LABEL_RE = re.compile(r"([A-Za-z]+)([0-9]+)")
+_WS_RE = re.compile(r"\s+")
+
+
+def _parse_label_block(text: str, pos: int) -> tuple[list[WireLabel], int]:
+    """Parse ``{label label ...}`` starting at the opening brace."""
+    if pos >= len(text) or text[pos] != "{":
+        raise CircuitSyntaxError("malformed port block", pos, "'{'")
+    pos += 1
+    labels: list[WireLabel] = []
+    while True:
+        ws = _WS_RE.match(text, pos)
+        if ws:
+            pos = ws.end()
+        if pos >= len(text):
+            raise CircuitSyntaxError("unterminated port block", pos, "'}'")
+        if text[pos] == "}":
+            if not labels:
+                raise CircuitSyntaxError("empty port block", pos, "label")
+            return labels, pos + 1
+        if labels and not ws:
+            raise CircuitSyntaxError("labels must be separated", pos, "whitespace or '}'")
+        m = _LABEL_RE.match(text, pos)
+        if not m:
+            raise CircuitSyntaxError("malformed label", pos, "label like 'a1'")
+        sys_name, id_text = m.group(1), m.group(2)
+        wire_id = int(id_text)
+        if wire_id < 1:
+            raise CircuitSyntaxError("wire ids are positive", pos, "integer >= 1")
+        labels.append(WireLabel(sys_name, wire_id))
+        pos = m.end()
+
+
+def scan_op(text: str, pos: int) -> tuple[OperationDecl, int]:
+    """Parse one operation character by character, naming the first grammar violation."""
+    m = _NAME_RE.match(text, pos)
+    if not m:
+        raise CircuitSyntaxError("malformed operation", pos, "operation name")
+    name = m.group(0)
+    pos = m.end()
+    inputs: list[WireLabel] | None = None
+    outputs: list[WireLabel] | None = None
+    while pos < len(text) and text[pos] in "^_":
+        marker = text[pos]
+        if marker == "^":
+            if outputs is not None:
+                raise CircuitSyntaxError("second superscript block", pos, "at most one '^{...}'")
+            outputs, pos = _parse_label_block(text, pos + 1)
+        else:
+            if inputs is not None:
+                raise CircuitSyntaxError("second subscript block", pos, "at most one '_{...}'")
+            inputs, pos = _parse_label_block(text, pos + 1)
+    return OperationDecl(name, tuple(inputs or ()), tuple(outputs or ())), pos
 
 
 def with_portfree_op(frag, binding, value: float):

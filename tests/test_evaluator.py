@@ -300,6 +300,10 @@ class TestPFunction:
             "is_physical": len({decl.name for decl in frag_a.ops}) + 2,
         }
 
+    def test_empty_expression_is_float_zero(self):
+        value = ot.p_function(ot.CircuitExpression(()), {})
+        assert type(value) is float and value == 0.0
+
     def test_open_term_rejected(self):
         frag = ot.parse_circuit("P^{a1}")
         with pytest.raises(ot.NonCircuitTermError):

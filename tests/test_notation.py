@@ -41,6 +41,7 @@ from conftest import (
     random_brickwork,
     random_circuit,
     random_dag,
+    scan_op,
     scrambled,
 )
 
@@ -122,6 +123,64 @@ def test_syntax_errors_carry_position():
         parse_circuit("A^{a1b2}")  # labels must be separated
 
 
+# Every syntax error at each kind of site, as the character scanner named it:
+# (text, message, position).
+SYNTAX_ERRORS = [
+    # the name
+    ("^{a1}", "malformed operation at position 0 (expected operation name)", 0),
+    ("A^{a1} 1B", "malformed operation at position 7 (expected operation name)", 7),
+    ("A{a1}", "malformed operation at position 1 (expected operation name)", 1),
+    ("A^{a1} B_{a1}{", "malformed operation at position 13 (expected operation name)", 13),
+    # the first block
+    ("A^{a1", "unterminated port block at position 5 (expected '}')", 5),
+    ("A_{", "unterminated port block at position 3 (expected '}')", 3),
+    ("A^{}", "empty port block at position 3 (expected label)", 3),
+    ("A_{ }", "empty port block at position 4 (expected label)", 4),
+    ("A^{a1b2}", "labels must be separated at position 5 (expected whitespace or '}')", 5),
+    ("A_{a1\u0661}", "labels must be separated at position 5 (expected whitespace or '}')", 5),
+    ("A^{a0}", "wire ids are positive at position 3 (expected integer >= 1)", 3),
+    ("A_{a1 a0}", "wire ids are positive at position 6 (expected integer >= 1)", 6),
+    ("A^{1a}", "malformed label at position 3 (expected label like 'a1')", 3),
+    ("A^{a1 !}", "malformed label at position 6 (expected label like 'a1')", 6),
+    ("A^{a1 B_{a1}", "malformed label at position 6 (expected label like 'a1')", 6),
+    ("A^a1", "malformed port block at position 2 (expected '{')", 2),
+    ("A^", "malformed port block at position 2 (expected '{')", 2),
+    # the second block
+    ("A_{a1}^{a2", "unterminated port block at position 10 (expected '}')", 10),
+    ("A^{a1}_{}", "empty port block at position 8 (expected label)", 8),
+    ("A_{a1}^{a2b3}", "labels must be separated at position 10 (expected whitespace or '}')", 10),
+    ("A^{a1}_{a00}", "wire ids are positive at position 8 (expected integer >= 1)", 8),
+    ("A_{a1}^{a2 !}", "malformed label at position 11 (expected label like 'a1')", 11),
+    ("A^{a1}_a2", "malformed port block at position 7 (expected '{')", 7),
+    ("A_{a1}^", "malformed port block at position 7 (expected '{')", 7),
+    ("A^{a1}^{a2}", "second superscript block at position 6 (expected at most one '^{...}')", 6),
+    ("A_{a1}_{a2}", "second subscript block at position 6 (expected at most one '_{...}')", 6),
+    (
+        "A^{a1}_{a2}^{a3}",
+        "second superscript block at position 11 (expected at most one '^{...}')",
+        11,
+    ),
+    (
+        "A_{a1}^{a2}_{a3}",
+        "second subscript block at position 11 (expected at most one '_{...}')",
+        11,
+    ),
+    (
+        "A^{a1} B_{a1}^{a2}^{a3}",
+        "second superscript block at position 18 (expected at most one '^{...}')",
+        18,
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message, position", SYNTAX_ERRORS)
+def test_syntax_error_messages_are_pinned(text, message, position):
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit(text)
+    assert (str(err.value), err.value.position) == (message, position)
+    assert _scanned(text) == (CircuitSyntaxError, message, position)
+
+
 # Near-misses of valid circuit text, each edit at its k-th site: a brace, ``_``
 # or ``^`` dropped or doubled, a subscript-then-superscript pair swapped, an id
 # set to 0, a non-ASCII digit or space inserted, a space deleted.
@@ -157,8 +216,8 @@ def _outcome(text: str):
 
 
 def _scanned(text: str):
-    """:func:`_outcome` with every operation read by the character scanner alone."""
-    scan_only = lambda text, pos, interned: notation._scan_op(text, pos)  # noqa: E731
+    """:func:`_outcome` with every operation read by the reference scanner alone."""
+    scan_only = lambda text, pos, interned: scan_op(text, pos)  # noqa: E731
     with mock.patch.object(notation, "_parse_op", scan_only):
         return _outcome(text)
 
@@ -180,9 +239,9 @@ def test_parser_agrees_with_the_scanner_on_near_misses(seed, dag, edits):
     assert _outcome(text) == _scanned(text)
 
 
-def test_parser_reads_juxtaposed_operations_by_pattern(monkeypatch):
-    """Whitespace between operations is optional, and well-formed text never
-    reaches the scanner."""
+def test_parser_reads_juxtaposed_operations_by_pattern():
+    """Whitespace between operations is optional, and the pattern reads what
+    the scanner reads."""
     frag = parse_circuit("A^{a1}B_{a1}^{b2}C_{b2}")
     assert [str(op) for op in frag.ops] == ["A^{a1}", "B_{a1}^{b2}", "C_{b2}"]
     assert frag.kind == "circuit" and len(frag.internal_wires) == 2
@@ -192,9 +251,7 @@ def test_parser_reads_juxtaposed_operations_by_pattern(monkeypatch):
         "A^{a1}_{a2}",
         str(random_dag(np.random.default_rng(7), 300, 6)[0]),
     ]
-    scans = count_calls(monkeypatch, notation, "_scan_op")
     parsed = [parse_circuit(text) for text in texts]
-    assert scans == []
     assert parsed == [_scanned(text) for text in texts]
 
 
@@ -696,6 +753,7 @@ def test_parse_registry():
     for text, message in (
         ("a 2\nb 0", "registry line 2: expected 'name dim' with dim >= 1: 'b 0'"),
         ("a \u00b2", "registry line 1: expected 'name dim' with dim >= 1: 'a \u00b2'"),
+        ("a \u0662", "registry line 1: expected 'name dim' with dim >= 1: 'a \u0662'"),
     ):
         with pytest.raises(ValueError) as caught:
             parse_registry(text)

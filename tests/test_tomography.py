@@ -337,6 +337,27 @@ class TestSampledProbeOracle:
         black = ot.probe(ot.SampledBlackBox(op, np.int64(1)), fsets).data
         assert set(np.unique(black)) <= {0.0, 1.0}
 
+    def test_bool_shots_refused(self):
+        with pytest.raises(TypeError, match="shots must be an integer, not bool"):
+            ot.SampledBlackBox(qubit_channel(seed=5), shots=True)
+
+    def test_bool_seed_refused(self):
+        with pytest.raises(TypeError, match="seed must be an integer, not bool"):
+            ot.SampledBlackBox(qubit_channel(seed=5), 100, seed=True)
+
+    @pytest.mark.parametrize(
+        "shots, seed, error, message",
+        [
+            (1.5, 0, TypeError, "shots must be an integer, not float"),
+            (0, 0, ValueError, "shots must be at least 1, got 0"),
+            (100, "3", TypeError, "seed must be an integer, not str"),
+            (100, -1, ValueError, "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_arguments_checked_before_any_probe(self, shots, seed, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            ot.SampledBlackBox(qubit_channel(seed=5), shots, seed)
+
     def test_foreign_box_asked_every_setting_in_order(self, fsets):
         class Recording:
             def __init__(self, box):

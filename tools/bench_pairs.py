@@ -12,8 +12,10 @@ fresh directory, so neither side sees the working tree or a stale
 the base first in even pairs and the change first in odd ones, with the
 caller's ``PYTHONDONTWRITEBYTECODE`` on both sides.  For each workload
 and each end-to-end metric of BENCHMARK.json the output holds both sides'
-values, medians and quartiles, how many pairs the change won, and whether
-the gap between the medians exceeds the base's quartile spread; it also
+values, medians and quartiles, how many pairs the change won, whether
+the gap between the medians exceeds the base's quartile spread (the rule for
+a claimed gain), and whether the median stayed within the metric's bound and
+the base's spread was narrow enough to tell (the rule for no regression); it also
 records the machine, the bytecode setting and each side's ``src/`` tree, so a
 later commit that touches no source can be matched to the measurement.  If
 ``--out`` already holds a comparison of the same two revisions, the new
@@ -71,8 +73,18 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def compare(base: list[dict], change: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: both sides' quartiles, the change's wins, and the median gap."""
+def compare(
+    base: list[dict], change: list[dict], better: dict[str, str], bounds: dict[str, float]
+) -> dict:
+    """Per metric: both sides' quartiles, the change's wins, the median gap,
+    and the no-regression rule.
+
+    ``within_bound`` holds when the median moved the worse way by at most the
+    metric's relative ``bound``.  ``unresolved`` holds when the base's quartile
+    spread, relative to its median, exceeds the bound, so that a regression
+    of that size could hide in the base's own noise, and some run of the
+    change is not better than every run of the base.
+    """
     metrics = {}
     for name, direction in better.items():
         b = [run["metrics"][name]["value"] for run in base]
@@ -81,15 +93,22 @@ def compare(base: list[dict], change: list[dict], better: dict[str, str]) -> dic
         wins = sum(sign * (x - y) > 0 for x, y in zip(b, c))
         b_stats, c_stats = quartiles(b), quartiles(c)
         gap = sign * (b_stats["median"] - c_stats["median"])  # > 0: the change is better
+        b_iqr = b_stats["q3"] - b_stats["q1"]
+        change_rel = c_stats["median"] / b_stats["median"] - 1
+        bound = bounds[name]
         metrics[name] = {
             "unit": base[0]["metrics"][name]["unit"],
             "better": direction,
             "base": b_stats,
             "change": c_stats,
-            "change_rel": c_stats["median"] / b_stats["median"] - 1,
+            "change_rel": change_rel,
             "change_wins": wins,
             "pairs": len(b),
-            "gap_exceeds_base_iqr": gap > b_stats["q3"] - b_stats["q1"],
+            "gap_exceeds_base_iqr": gap > b_iqr,
+            "bound": bound,
+            "within_bound": sign * change_rel <= bound,
+            "unresolved": b_iqr / b_stats["median"] > bound
+            and not all(sign * (x - y) > 0 for x in b for y in c),
         }
     return metrics
 
@@ -108,6 +127,7 @@ def main(argv=None) -> int:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     out = Path(args.out)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
@@ -139,7 +159,7 @@ def main(argv=None) -> int:
                 "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
                 "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
                 "correct": all(r["correct"] for rs in runs.values() for r in rs),
-                "metrics": compare(runs["base"], runs["change"], better),
+                "metrics": compare(runs["base"], runs["change"], better, bounds),
             })
             out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
